@@ -10,17 +10,25 @@
 //!   fraction corresponds to the `load_factor` of its capacity profile;
 //! * its runtime state (the ring buffer) is small, so PAM's choice to migrate
 //!   the Logger is also the cheapest state transfer in the chain.
+//!
+//! A record stores the packet's parsed 5-tuple, not text: the human-readable
+//! summary is rendered only when the state is exported. The exported JSON —
+//! the bytes that size the Logger's migration — carries that summary as a
+//! string field.
 
 use std::collections::VecDeque;
 
 use pam_types::Result;
-use serde::{Deserialize, Serialize};
+use pam_wire::five_tuple::parse_canonical_decimal;
+use pam_wire::FiveTuple;
+use serde::value::{Map, Value};
+use serde::{Deserialize, Error, Serialize};
 
 use crate::nf::{NetworkFunction, NfContext, NfKind, NfState, NfVerdict};
 use crate::packet::Packet;
 
 /// One log record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogEntry {
     /// Nanosecond timestamp of the logged packet.
     pub timestamp_nanos: u64,
@@ -28,8 +36,71 @@ pub struct LogEntry {
     pub flow: u64,
     /// Packet size in bytes.
     pub size: u64,
-    /// Human-readable description of the packet's 5-tuple.
-    pub summary: String,
+    /// The packet's 5-tuple (`None` for a frame that is not IPv4).
+    pub tuple: Option<FiveTuple>,
+}
+
+impl LogEntry {
+    /// Human-readable description of the packet: its 5-tuple, or the size of
+    /// a non-IP frame.
+    pub fn summary(&self) -> String {
+        match self.tuple {
+            Some(tuple) => tuple.to_string(),
+            None => format!("{NON_IP_PREFIX}{}{NON_IP_SUFFIX}", self.size),
+        }
+    }
+}
+
+const NON_IP_PREFIX: &str = "non-ip frame of ";
+const NON_IP_SUFFIX: &str = " bytes";
+
+// Hand-written: the record holds the parsed tuple, its JSON the rendered
+// `summary` text (whose bytes size the Logger's state transfer).
+impl Serialize for LogEntry {
+    fn to_value(&self) -> Value {
+        let mut map = Map::new();
+        map.insert("timestamp_nanos", self.timestamp_nanos.to_value());
+        map.insert("flow", self.flow.to_value());
+        map.insert("size", self.size.to_value());
+        map.insert("summary", Value::String(self.summary()));
+        Value::Object(map)
+    }
+}
+
+impl Deserialize for LogEntry {
+    fn from_value(value: &Value) -> std::result::Result<Self, Error> {
+        let map = value
+            .as_object()
+            .ok_or_else(|| Error::custom("a log entry must be an object"))?;
+        let field = |name: &str| {
+            map.get(name)
+                .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
+        };
+        let size = u64::from_value(field("size")?)?;
+        let summary = field("summary")?
+            .as_str()
+            .ok_or_else(|| Error::custom("`summary` must be a string"))?;
+        // Only summaries this record format prints are accepted, so an
+        // import followed by an export reproduces the same bytes.
+        let non_ip_size = summary
+            .strip_prefix(NON_IP_PREFIX)
+            .and_then(|rest| rest.strip_suffix(NON_IP_SUFFIX))
+            .and_then(parse_canonical_decimal::<u64>);
+        let tuple = match non_ip_size {
+            Some(bytes) if bytes == size => None,
+            _ => Some(
+                summary
+                    .parse::<FiveTuple>()
+                    .map_err(|_| Error::custom(format!("unrecognised log summary `{summary}`")))?,
+            ),
+        };
+        Ok(LogEntry {
+            timestamp_nanos: u64::from_value(field("timestamp_nanos")?)?,
+            flow: u64::from_value(field("flow")?)?,
+            size,
+            tuple,
+        })
+    }
 }
 
 /// Serialised logger state.
@@ -120,10 +191,6 @@ impl NetworkFunction for Logger {
         if self.observed % self.sample_every != 0 {
             return NfVerdict::Forward;
         }
-        let summary = match packet.five_tuple() {
-            Some(tuple) => tuple.to_string(),
-            None => format!("non-ip frame of {} bytes", packet.size().as_bytes()),
-        };
         if self.entries.len() >= self.capacity {
             self.entries.pop_front();
         }
@@ -131,7 +198,7 @@ impl NetworkFunction for Logger {
             timestamp_nanos: ctx.now.as_nanos(),
             flow: packet.flow_id().raw(),
             size: packet.size().as_bytes(),
-            summary,
+            tuple: packet.five_tuple(),
         });
         self.appended_since_clear = (self.appended_since_clear + 1).min(self.capacity);
         self.logged += 1;
@@ -140,7 +207,7 @@ impl NetworkFunction for Logger {
 
     fn export_state(&self) -> NfState {
         let state = LoggerState {
-            entries: self.entries.iter().cloned().collect(),
+            entries: self.entries.iter().copied().collect(),
             observed: self.observed,
             logged: self.logged,
             sample_every: self.sample_every,
@@ -182,7 +249,7 @@ impl NetworkFunction for Logger {
                 .entries
                 .iter()
                 .skip(self.entries.len() - tail)
-                .cloned()
+                .copied()
                 .collect(),
             observed: self.observed,
             logged: self.logged,
@@ -272,8 +339,8 @@ mod tests {
         logger.process(&mut packet(3), &NfContext::at(SimTime::from_micros(7)));
         let entry = &logger.entries()[0];
         assert_eq!(entry.size, 100);
-        assert!(entry.summary.contains("TCP"));
-        assert!(entry.summary.contains("10.0.0.1"));
+        assert!(entry.summary().contains("TCP"));
+        assert!(entry.summary().contains("10.0.0.1"));
         assert_eq!(entry.timestamp_nanos, 7_000);
     }
 
@@ -282,7 +349,95 @@ mod tests {
         let mut logger = Logger::new(10, 1);
         let mut junk = Packet::from_bytes(1, vec![0u8; 33], SimTime::ZERO);
         logger.process(&mut junk, &NfContext::at(SimTime::ZERO));
-        assert!(logger.entries()[0].summary.contains("non-ip"));
+        assert!(logger.entries()[0].summary().contains("non-ip"));
+        assert_eq!(logger.entries()[0].tuple, None);
+    }
+
+    /// Exported JSON captured from records that stored the formatted summary
+    /// string: these bytes size the Logger's state transfer, so typed
+    /// records must reproduce them exactly.
+    const FULL_BEFORE: &str = r#"{"entries":[{"timestamp_nanos":1000,"flow":12741182689276118978,"size":100,"summary":"TCP 10.0.0.1:5000 -> 10.9.9.9:443"},{"timestamp_nanos":2000,"flow":17765803333420054092,"size":64,"summary":"UDP 192.168.1.7:53000 -> 8.8.8.8:53"},{"timestamp_nanos":3000,"flow":7878349077260470309,"size":33,"summary":"non-ip frame of 33 bytes"}],"observed":3,"logged":3,"sample_every":1}"#;
+    const DIRTY: &str = r#"{"appended":[{"timestamp_nanos":4000,"flow":17765803333420054092,"size":64,"summary":"UDP 192.168.1.7:53000 -> 8.8.8.8:53"},{"timestamp_nanos":5000,"flow":12741182689276118978,"size":100,"summary":"TCP 10.0.0.1:5000 -> 10.9.9.9:443"}],"observed":5,"logged":5,"sample_every":1}"#;
+    const FULL_AFTER: &str = r#"{"entries":[{"timestamp_nanos":2000,"flow":17765803333420054092,"size":64,"summary":"UDP 192.168.1.7:53000 -> 8.8.8.8:53"},{"timestamp_nanos":3000,"flow":7878349077260470309,"size":33,"summary":"non-ip frame of 33 bytes"},{"timestamp_nanos":4000,"flow":17765803333420054092,"size":64,"summary":"UDP 192.168.1.7:53000 -> 8.8.8.8:53"},{"timestamp_nanos":5000,"flow":12741182689276118978,"size":100,"summary":"TCP 10.0.0.1:5000 -> 10.9.9.9:443"}],"observed":5,"logged":5,"sample_every":1}"#;
+
+    fn json(state: &NfState) -> String {
+        serde_json::to_string(&state.data).unwrap()
+    }
+
+    #[test]
+    fn exported_json_is_byte_identical_to_the_string_record_format() {
+        let tcp = packet(0);
+        let udp = PacketBuilder::new()
+            .ips(Ipv4Addr::new(192, 168, 1, 7), Ipv4Addr::new(8, 8, 8, 8))
+            .ports(53000, 53)
+            .transport(TransportKind::Udp)
+            .total_len(64)
+            .build();
+        let mut udp = Packet::from_bytes(2, udp, SimTime::ZERO);
+        let mut tcp = Packet::from_bytes(1, tcp.bytes().to_vec(), SimTime::ZERO);
+        let mut junk = Packet::from_bytes(3, vec![0u8; 33], SimTime::ZERO);
+
+        let mut logger = Logger::new(4, 1);
+        logger.process(&mut tcp, &NfContext::at(SimTime::from_micros(1)));
+        logger.process(&mut udp, &NfContext::at(SimTime::from_micros(2)));
+        logger.process(&mut junk, &NfContext::at(SimTime::from_micros(3)));
+        let full = logger.export_state();
+        assert_eq!(json(&full), FULL_BEFORE);
+        assert_eq!(full.estimated_size.as_bytes(), 224);
+
+        logger.clear_dirty();
+        logger.process(&mut udp, &NfContext::at(SimTime::from_micros(4)));
+        logger.process(&mut tcp, &NfContext::at(SimTime::from_micros(5)));
+        let dirty = logger.export_dirty_state();
+        assert_eq!(json(&dirty), DIRTY);
+        assert_eq!(dirty.estimated_size.as_bytes(), 165);
+        let full = logger.export_state();
+        assert_eq!(json(&full), FULL_AFTER);
+        assert_eq!(full.estimated_size.as_bytes(), 291);
+
+        // Import -> export round trips, full and dirty, reproduce the bytes.
+        let mut target = Logger::new(4, 1);
+        target
+            .import_state(NfState::encode(
+                NfKind::Logger,
+                &serde_json::from_str::<serde_json::Value>(FULL_BEFORE).unwrap(),
+            ))
+            .unwrap();
+        assert_eq!(json(&target.export_state()), FULL_BEFORE);
+        target.import_dirty_state(dirty).unwrap();
+        assert_eq!(json(&target.export_state()), FULL_AFTER);
+        assert_eq!(target.entries(), logger.entries());
+    }
+
+    #[test]
+    fn summaries_this_format_never_prints_are_rejected_on_import() {
+        let state = |summary: &str, size: u64| {
+            let entry = format!(
+                r#"{{"entries":[{{"timestamp_nanos":1,"flow":2,"size":{size},"summary":"{summary}"}}],"observed":1,"logged":1,"sample_every":1}}"#
+            );
+            NfState::encode(
+                NfKind::Logger,
+                &serde_json::from_str::<serde_json::Value>(&entry).unwrap(),
+            )
+        };
+        let mut logger = Logger::new(4, 1);
+        logger
+            .import_state(state("non-ip frame of 33 bytes", 33))
+            .unwrap();
+        logger
+            .import_state(state("UDP 1.2.3.4:5 -> 6.7.8.9:10", 64))
+            .unwrap();
+        for (summary, size) in [
+            ("non-ip frame of 33 bytes", 34),
+            ("non-ip frame of 033 bytes", 33),
+            ("a packet", 64),
+            ("UDP 1.2.3.4:05 -> 6.7.8.9:10", 64),
+        ] {
+            assert!(
+                logger.import_state(state(summary, size)).is_err(),
+                "{summary}"
+            );
+        }
     }
 
     #[test]

@@ -131,7 +131,9 @@ impl NfState {
         let data = serde_json::to_value(value).unwrap_or(serde_json::Value::Null);
         // The JSON text length is a reasonable proxy for the serialised size;
         // real systems ship a compact binary encoding, so charge 60% of it.
-        let json_len = serde_json::to_string(&data).map(|s| s.len()).unwrap_or(0);
+        // The length is counted off the tree already built, not by printing
+        // a copy of it.
+        let json_len = serde_json::serialized_len(&data).unwrap_or(0);
         NfState {
             kind,
             data,
@@ -327,6 +329,45 @@ mod tests {
         let small = NfState::encode(NfKind::Monitor, &vec![0u64; 4]);
         let large = NfState::encode(NfKind::Monitor, &vec![0u64; 4000]);
         assert!(large.estimated_size > small.estimated_size * 100);
+    }
+
+    #[test]
+    fn estimated_size_is_sixty_percent_of_the_printed_json_for_every_kind() {
+        use pam_wire::{PacketBuilder, TransportKind};
+
+        // Every kind, with state in it, full and dirty exports: the counted
+        // length must be exactly what printing the tree used to measure.
+        for kind in NfKind::ALL {
+            let mut nf = crate::registry::build_kind(kind);
+            for i in 0..300u16 {
+                let transport = if i % 3 == 0 {
+                    TransportKind::Udp
+                } else {
+                    TransportKind::Tcp
+                };
+                let bytes = PacketBuilder::new()
+                    .ports(1000 + i % 97, 80 + i % 5)
+                    .transport(transport)
+                    .total_len(64 + usize::from(i) * 4)
+                    .build();
+                let mut packet = Packet::from_bytes(u64::from(i), bytes, SimTime::ZERO);
+                nf.process(
+                    &mut packet,
+                    &NfContext::at(SimTime::from_micros(u64::from(i))),
+                );
+                if i == 150 {
+                    nf.clear_dirty();
+                }
+            }
+            for state in [nf.export_state(), nf.export_dirty_state()] {
+                let printed = serde_json::to_string(&state.data).unwrap().len() as u64;
+                assert_eq!(
+                    state.estimated_size,
+                    ByteSize::bytes(printed * 6 / 10),
+                    "{kind}"
+                );
+            }
+        }
     }
 
     #[test]

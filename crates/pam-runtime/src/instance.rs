@@ -1,7 +1,8 @@
 //! A placed, running vNF instance.
 
 use pam_nf::{CapacityProfile, NetworkFunction, NfKind};
-use pam_types::{Device, Gbps, InstanceId, NfId, SimDuration, SimTime};
+use pam_sim::CostMemo;
+use pam_types::{ByteSize, Device, Gbps, InstanceId, NfId, SimDuration, SimTime};
 
 /// One vNF instance: the processing object plus where it currently runs and
 /// the timing parameters the simulator derives from its capacity profile.
@@ -25,6 +26,10 @@ pub struct VnfInstance {
     pub processed: u64,
     /// Packets dropped by this instance's own verdicts (policy drops).
     pub policy_drops: u64,
+    /// Service time per frame length on `memo_device` (see
+    /// [`VnfInstance::memoised_service_time`]).
+    service_memo: CostMemo,
+    memo_device: Device,
 }
 
 impl std::fmt::Debug for VnfInstance {
@@ -60,6 +65,8 @@ impl VnfInstance {
             paused_until: None,
             processed: 0,
             policy_drops: 0,
+            service_memo: CostMemo::new(),
+            memo_device: device,
         }
     }
 
@@ -75,8 +82,22 @@ impl VnfInstance {
 
     /// The service time a packet of `size` occupies the device's shared
     /// processor for.
-    pub fn service_time(&self, size: pam_types::ByteSize) -> SimDuration {
+    pub fn service_time(&self, size: ByteSize) -> SimDuration {
         pam_sim::ComputeDevice::service_time(size, self.capacity(), self.profile.load_factor)
+    }
+
+    /// [`VnfInstance::service_time`], remembered per frame length: the
+    /// datapath asks once per packet per hop. The memo belongs to the device
+    /// it was filled on, so a migration (a change of `device`) empties it.
+    pub fn memoised_service_time(&mut self, size: ByteSize) -> SimDuration {
+        if self.memo_device != self.device {
+            self.service_memo.clear();
+            self.memo_device = self.device;
+        }
+        let (capacity, load_factor) = (self.capacity(), self.profile.load_factor);
+        self.service_memo.get_or_insert_with(size.as_bytes(), || {
+            pam_sim::ComputeDevice::service_time(size, capacity, load_factor)
+        })
     }
 
     /// True when the instance is paused for migration at `now`.
@@ -89,7 +110,6 @@ impl VnfInstance {
 mod tests {
     use super::*;
     use pam_nf::{build_kind, ProfileCatalog};
-    use pam_types::ByteSize;
 
     fn monitor_instance(device: Device) -> VnfInstance {
         let catalog = ProfileCatalog::table1();
@@ -114,6 +134,44 @@ mod tests {
         assert!(
             on_cpu.service_time(ByteSize::bytes(512)) < on_nic.service_time(ByteSize::bytes(512))
         );
+    }
+
+    #[test]
+    fn memoised_service_time_matches_the_formula_for_every_frame_length() {
+        // Every Table-1 profile (and the Figure-1 sampling logger's load
+        // factor) on both devices, every Ethernet frame length ascending then
+        // descending (misses, hits and slot reuse), and the same instance
+        // carried across a migration and back.
+        let catalogs = [ProfileCatalog::table1(), ProfileCatalog::figure1_scenario()];
+        for (catalog, kind) in catalogs
+            .iter()
+            .flat_map(|catalog| NfKind::ALL.map(|kind| (catalog, kind)))
+        {
+            let profile = *catalog.require(kind).unwrap();
+            let mut inst = VnfInstance::new(
+                InstanceId::new(1),
+                NfId::new(0),
+                kind,
+                build_kind(kind),
+                Device::SmartNic,
+                profile,
+            );
+            for device in [Device::SmartNic, Device::Cpu, Device::SmartNic] {
+                inst.device = device;
+                let lengths = (42..=1514u64).chain((42..=1514u64).rev());
+                for len in lengths {
+                    let size = ByteSize::bytes(len);
+                    let formula = pam_sim::ComputeDevice::service_time(
+                        size,
+                        profile.capacity_on(device),
+                        profile.load_factor,
+                    );
+                    assert_eq!(inst.service_time(size), formula);
+                    assert_eq!(inst.memoised_service_time(size), formula, "{kind} {len} B");
+                    assert_eq!(inst.memoised_service_time(size), formula, "{kind} {len} B");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   with the same seed produce byte-identical results, which the
 //!   reproducibility tests rely on.
 //! * [`SimRng`] — a seeded random-number generator with the sampling helpers
-//!   the traffic generator and workloads need.
+//!   the traffic generator and workloads need; [`GuidedCdf`] puts a guide
+//!   table in front of an inverse-CDF search.
+//! * [`CostMemo`] — a direct-mapped memo of per-length costs (service and
+//!   serialisation times), bit-identical to the formula it caches.
 //! * [`DropTailQueue`] — a bounded FIFO with drop accounting, used for every
 //!   ingress/device queue.
 //! * [`RateServer`] — a work-conserving FIFO server whose service times are
@@ -53,6 +56,7 @@ pub mod device;
 pub mod events;
 pub mod fault;
 pub mod link;
+pub mod memo;
 pub mod queue;
 pub mod reorder;
 pub mod rng;
@@ -66,9 +70,10 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use link::{
     LinkDirection, PcieLink, PcieLinkConfig, PcieLinkStats, TransferStatus, TransferToken,
 };
+pub use memo::CostMemo;
 pub use queue::{DropTailQueue, QueueStats};
 pub use reorder::ReorderBuffer;
-pub use rng::SimRng;
+pub use rng::{GuidedCdf, SimRng};
 pub use server::{RateServer, ServerStats};
 pub use shard::{ShardChannel, ShardPlan};
 pub use sharing::{

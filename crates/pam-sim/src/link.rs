@@ -13,6 +13,7 @@ use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
 use serde::value::{Map, Value};
 use serde::{Deserialize, Error, Serialize};
 
+use crate::memo::CostMemo;
 use crate::server::RateServer;
 use crate::sharing::SharedTransfer;
 use crate::sharing::{
@@ -222,6 +223,11 @@ pub struct PcieLink {
     /// Fault injection: volatile-capacity factor applied to the bandwidth of
     /// new serialisations (clamped to a positive floor; `1.0` = nominal).
     capacity_factor: f64,
+    /// Serialisation time per burst length at the current effective
+    /// bandwidth (the same in both directions); cleared whenever the
+    /// capacity factor changes. It pays off because burst lengths recur:
+    /// one-frame bursts carry one of a few frame sizes (see [`CostMemo`]).
+    serialisation: CostMemo,
 }
 
 impl PcieLink {
@@ -235,6 +241,7 @@ impl PcieLink {
             dma_bursts: 0,
             down_until: SimTime::ZERO,
             capacity_factor: 1.0,
+            serialisation: CostMemo::new(),
         }
     }
 
@@ -260,6 +267,15 @@ impl PcieLink {
         } else {
             Gbps::new(self.config.bandwidth.as_gbps() * self.capacity_factor)
         }
+    }
+
+    /// The time `size` bytes take to serialise at the effective bandwidth,
+    /// memoised per length.
+    fn serialisation(&mut self, size: ByteSize) -> SimDuration {
+        let bandwidth = self.effective_bandwidth();
+        self.serialisation.get_or_insert_with(size.as_bytes(), || {
+            SimDuration::transmission(size, bandwidth)
+        })
     }
 
     /// Takes the link down for `down_for` starting at `now`: no new admission
@@ -304,6 +320,7 @@ impl PcieLink {
     /// drains at the new one. Pass `1.0` to restore nominal capacity.
     pub fn set_capacity_factor(&mut self, now: SimTime, factor: f64) {
         self.capacity_factor = factor.max(MIN_CAPACITY_FACTOR);
+        self.serialisation.clear();
         for direction in LinkDirection::ALL {
             self.direction_mut(direction)
                 .shared
@@ -483,20 +500,20 @@ impl PcieLink {
         if packets == 0 {
             return now;
         }
-        let serialisation = SimDuration::transmission(total, self.effective_bandwidth());
         let crossing_latency = self.config.crossing_latency;
-        let fair_share = self.config.link_model.is_fair_share();
         // Bursts admitted during an outage cross once the link is back.
-        let start = now.max(self.down_until);
+        let fifo_serialised = if self.config.link_model.is_fair_share() {
+            None
+        } else {
+            Some(now.max(self.down_until) + self.serialisation(total))
+        };
         self.bytes += total.as_bytes();
         self.dma_bursts += 1;
         let state = self.direction_mut(direction);
         state.crossings += packets;
-        let serialised = if fair_share {
-            let (_, eta) = state.shared.begin(now, total);
-            eta
-        } else {
-            start + serialisation
+        let serialised = match fifo_serialised {
+            Some(serialised) => serialised,
+            None => state.shared.begin(now, total).1,
         };
         let arrival = (serialised + crossing_latency).max(state.last_delivery);
         state.last_delivery = arrival;
@@ -553,6 +570,7 @@ impl PcieLink {
         // nominal capacity (the rebuilt fair-share engines already are).
         self.down_until = SimTime::ZERO;
         self.capacity_factor = 1.0;
+        self.serialisation.clear();
     }
 }
 
@@ -560,6 +578,44 @@ impl PcieLink {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn memoised_serialisation_matches_the_formula_for_every_frame_length() {
+        // Every Ethernet frame length, in both directions, at nominal and at
+        // a swung capacity, each length twice (a miss, then a hit) and in a
+        // second, descending pass that reuses slots filled by other lengths;
+        // then eight-frame burst totals, which share slots with each other
+        // and with the frame lengths.
+        let mut link = PcieLink::new(PcieLinkConfig::default());
+        let crossing = link.crossing_latency();
+        let mut now = SimTime::ZERO;
+        for factor in [1.0, 0.37, 1.0] {
+            link.set_capacity_factor(now, factor);
+            let bandwidth = link.effective_bandwidth();
+            assert_eq!(
+                factor == 1.0,
+                bandwidth == PcieLinkConfig::default().bandwidth
+            );
+            let frames = (42..=1514u64)
+                .chain((42..=1514u64).rev())
+                .map(|len| (1, len));
+            let bursts = (8 * 42..=8 * 1514u64).step_by(13).map(|len| (8, len));
+            for (i, (packets, len)) in frames.chain(bursts).enumerate() {
+                let expected = SimDuration::transmission(ByteSize::bytes(len), bandwidth);
+                for _ in 0..2 {
+                    // Far enough apart that the FIFO clamp never binds.
+                    now += SimDuration::from_millis(1);
+                    let arrival = link.propagate_burst(
+                        now,
+                        packets,
+                        ByteSize::bytes(len),
+                        LinkDirection::ALL[i % 2],
+                    );
+                    assert_eq!(arrival, now + expected + crossing, "{len} B at x{factor}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn transfer_adds_latency_and_serialisation() {

@@ -16,6 +16,25 @@ const BUCKETS_PER_DECADE: usize = 96;
 const DECADES: usize = 11;
 const BUCKET_COUNT: usize = BUCKETS_PER_DECADE * DECADES;
 
+/// One duration with its histogram bucket already resolved, so a sample fed
+/// to several histograms takes its `log10` once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatencySample {
+    nanos: u64,
+    bucket: usize,
+}
+
+impl From<SimDuration> for LatencySample {
+    /// Resolves `value`'s bucket.
+    fn from(value: SimDuration) -> Self {
+        let nanos = value.as_nanos();
+        LatencySample {
+            nanos,
+            bucket: LatencyHistogram::bucket_index(nanos),
+        }
+    }
+}
+
 /// A streaming histogram of durations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyHistogram {
@@ -58,10 +77,11 @@ impl LatencyHistogram {
             .round() as u64
     }
 
-    /// Records one duration.
-    pub fn record(&mut self, value: SimDuration) {
-        let nanos = value.as_nanos();
-        self.buckets[Self::bucket_index(nanos)] += 1;
+    /// Records one duration (a [`SimDuration`], or a [`LatencySample`] whose
+    /// bucket is already resolved).
+    pub fn record(&mut self, value: impl Into<LatencySample>) {
+        let LatencySample { nanos, bucket } = value.into();
+        self.buckets[bucket] += 1;
         self.count += 1;
         self.sum_nanos += u128::from(nanos);
         self.min_nanos = self.min_nanos.min(nanos);
@@ -237,6 +257,21 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), SimDuration::from_secs(1000));
         assert!(h.quantile(0.99) <= h.max());
+    }
+
+    #[test]
+    fn a_resolved_sample_records_exactly_like_its_duration() {
+        let mut direct = LatencyHistogram::new();
+        let mut resolved = LatencyHistogram::new();
+        for nanos in (0..5_000u64).chain([u64::MAX / 2, u64::MAX]) {
+            let value = SimDuration::from_nanos(nanos.wrapping_mul(7919));
+            direct.record(value);
+            resolved.record(LatencySample::from(value));
+        }
+        assert_eq!(direct.buckets, resolved.buckets);
+        assert_eq!(direct.count(), resolved.count());
+        assert_eq!(direct.mean(), resolved.mean());
+        assert_eq!(direct.p99(), resolved.p99());
     }
 
     proptest! {

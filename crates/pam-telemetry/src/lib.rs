@@ -26,6 +26,6 @@ pub mod histogram;
 pub mod meters;
 pub mod registry;
 
-pub use histogram::LatencyHistogram;
+pub use histogram::{LatencyHistogram, LatencySample};
 pub use meters::{Counter, ThroughputMeter, TimeSeries};
 pub use registry::{ChainMetrics, MetricsRegistry};

@@ -1,5 +1,7 @@
 //! Counters, throughput meters and time series.
 
+use std::collections::VecDeque;
+
 use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +93,8 @@ impl ThroughputMeter {
 /// A bounded time series of `(time, value)` samples.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
+    /// Oldest first; a ring, so evicting the oldest sample is O(1).
+    samples: VecDeque<(SimTime, f64)>,
     max_samples: usize,
 }
 
@@ -105,7 +108,7 @@ impl TimeSeries {
     /// Creates a series bounded to `max_samples` points (zero = unbounded).
     pub fn new(max_samples: usize) -> Self {
         TimeSeries {
-            samples: Vec::new(),
+            samples: VecDeque::new(),
             max_samples,
         }
     }
@@ -113,19 +116,19 @@ impl TimeSeries {
     /// Appends a sample (drops the oldest when at capacity).
     pub fn push(&mut self, time: SimTime, value: f64) {
         if self.max_samples != 0 && self.samples.len() >= self.max_samples {
-            self.samples.remove(0);
+            self.samples.pop_front();
         }
-        self.samples.push((time, value));
+        self.samples.push_back((time, value));
     }
 
     /// All retained samples, oldest first.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
+    pub fn samples(&self) -> impl ExactSizeIterator<Item = (SimTime, f64)> + '_ {
+        self.samples.iter().copied()
     }
 
     /// The most recent sample.
     pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.samples.last().copied()
+        self.samples.back().copied()
     }
 
     /// The mean of retained values.
@@ -224,11 +227,32 @@ mod tests {
             ts.push(SimTime::from_millis(i), i as f64);
         }
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.samples()[0].1, 2.0);
+        let values: Vec<f64> = ts.samples().map(|(_, v)| v).collect();
+        assert_eq!(values, vec![2.0, 3.0, 4.0], "oldest first");
         assert_eq!(ts.last(), Some((SimTime::from_millis(4), 4.0)));
         assert_eq!(ts.mean(), 3.0);
         assert_eq!(ts.max(), 4.0);
         assert!(!ts.is_empty());
+    }
+
+    #[test]
+    fn full_time_series_evicts_in_order_and_serialises_as_a_list() {
+        let mut ts = TimeSeries::new(4096);
+        for i in 0..10_000u64 {
+            ts.push(SimTime::from_micros(i), i as f64);
+        }
+        assert_eq!(ts.len(), 4096);
+        let times: Vec<u64> = ts.samples().map(|(t, _)| t.as_nanos() / 1_000).collect();
+        assert_eq!(times, (10_000 - 4096..10_000).collect::<Vec<_>>());
+
+        let mut small = TimeSeries::new(2);
+        small.push(SimTime::from_nanos(1), 0.5);
+        small.push(SimTime::from_nanos(2), 1.5);
+        small.push(SimTime::from_nanos(3), 2.5);
+        let json = serde_json::to_string(&small).unwrap();
+        assert_eq!(json, r#"{"samples":[[2,1.5],[3,2.5]],"max_samples":2}"#);
+        let back: TimeSeries = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, small);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use pam_types::{Device, Gbps, SimDuration, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::histogram::LatencyHistogram;
+use crate::histogram::{LatencyHistogram, LatencySample};
 use crate::meters::TimeSeries;
 
 /// A point-in-time view of a running chain, as the orchestrator sees it.
@@ -58,10 +58,16 @@ impl ChainMetrics {
             .unwrap_or(0.0)
     }
 
-    /// Records the utilisation of a device.
+    /// Records the utilisation of a device (allocates its key only the
+    /// first time).
     pub fn set_utilisation(&mut self, device: Device, utilisation: f64) {
-        self.device_utilisation
-            .insert(device.label().to_string(), utilisation);
+        match self.device_utilisation.get_mut(device.label()) {
+            Some(slot) => *slot = utilisation,
+            None => {
+                self.device_utilisation
+                    .insert(device.label().to_string(), utilisation);
+            }
+        }
     }
 
     /// Fraction of packets dropped so far.
@@ -102,20 +108,29 @@ impl MetricsRegistry {
         }
     }
 
-    /// Publishes a new snapshot (called by the runtime).
+    /// Publishes a new snapshot.
     pub fn publish(&self, metrics: ChainMetrics) {
+        self.update(|current| *current = metrics);
+    }
+
+    /// Publishes a new snapshot by updating the current one in place
+    /// (called by the runtime every metrics interval: once the device keys
+    /// exist, nothing is allocated).
+    pub fn update(&self, update: impl FnOnce(&mut ChainMetrics)) {
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        update(&mut inner.current);
+        let current = &inner.current;
         inner
             .nic_utilisation_history
-            .push(metrics.updated_at, metrics.utilisation_of(Device::SmartNic));
+            .push(current.updated_at, current.utilisation_of(Device::SmartNic));
         inner
             .cpu_utilisation_history
-            .push(metrics.updated_at, metrics.utilisation_of(Device::Cpu));
-        inner.current = metrics;
+            .push(current.updated_at, current.utilisation_of(Device::Cpu));
     }
 
     /// Records one end-to-end packet latency (called by the runtime).
-    pub fn record_latency(&self, latency: SimDuration) {
+    pub fn record_latency(&self, latency: impl Into<LatencySample>) {
         self.inner.lock().latency.record(latency);
     }
 
@@ -140,8 +155,8 @@ impl MetricsRegistry {
     pub fn utilisation_history(&self, device: Device) -> Vec<(SimTime, f64)> {
         let inner = self.inner.lock();
         match device {
-            Device::SmartNic => inner.nic_utilisation_history.samples().to_vec(),
-            Device::Cpu => inner.cpu_utilisation_history.samples().to_vec(),
+            Device::SmartNic => inner.nic_utilisation_history.samples().collect(),
+            Device::Cpu => inner.cpu_utilisation_history.samples().collect(),
         }
     }
 }
@@ -198,6 +213,40 @@ mod tests {
         assert_eq!(nic[4].1, 0.4);
         let cpu = registry.utilisation_history(Device::Cpu);
         assert!(cpu.iter().all(|(_, v)| *v == 0.5));
+    }
+
+    #[test]
+    fn in_place_updates_publish_like_fresh_snapshots() {
+        let fresh = MetricsRegistry::new();
+        let in_place = MetricsRegistry::new();
+        for i in 0..6u64 {
+            let mut metrics = ChainMetrics {
+                updated_at: SimTime::from_millis(i),
+                offered_load: Gbps::new(i as f64),
+                total_delivered: i * 10,
+                ..ChainMetrics::default()
+            };
+            metrics.set_utilisation(Device::SmartNic, i as f64 / 8.0);
+            metrics.set_utilisation(Device::Cpu, 0.25);
+            fresh.publish(metrics);
+            in_place.update(|current| {
+                current.updated_at = SimTime::from_millis(i);
+                current.offered_load = Gbps::new(i as f64);
+                current.total_delivered = i * 10;
+                current.set_utilisation(Device::SmartNic, i as f64 / 8.0);
+                current.set_utilisation(Device::Cpu, 0.25);
+            });
+        }
+        assert_eq!(
+            serde_json::to_string(&fresh.snapshot()).unwrap(),
+            serde_json::to_string(&in_place.snapshot()).unwrap()
+        );
+        for device in [Device::SmartNic, Device::Cpu] {
+            assert_eq!(
+                fresh.utilisation_history(device),
+                in_place.utilisation_history(device)
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::net::Ipv4Addr;
 
-use pam_sim::SimRng;
+use pam_sim::{GuidedCdf, SimRng};
 use pam_wire::FiveTuple;
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,7 @@ impl Default for FlowGeneratorConfig {
 #[derive(Debug, Clone)]
 pub struct FlowGenerator {
     flows: Vec<FiveTuple>,
-    popularity_cdf: Vec<f64>,
+    popularity: GuidedCdf,
 }
 
 impl FlowGenerator {
@@ -73,12 +73,12 @@ impl FlowGenerator {
         let mut cdf = Vec::with_capacity(count);
         let mut acc = 0.0;
         for rank in 1..=count {
-            acc += 1.0 / (rank as f64).powf(exponent);
+            acc += 1.0 / zipf_weight_denominator(rank as f64, exponent);
             cdf.push(acc);
         }
         FlowGenerator {
             flows,
-            popularity_cdf: cdf,
+            popularity: GuidedCdf::new(cdf),
         }
     }
 
@@ -89,13 +89,24 @@ impl FlowGenerator {
 
     /// Draws the flow of the next packet.
     pub fn sample(&self, rng: &mut SimRng) -> FiveTuple {
-        let rank = rng.zipf_rank(&self.popularity_cdf);
+        let rank = rng.guided_rank(&self.popularity);
         self.flows[rank.min(self.flows.len() - 1)]
     }
 
     /// All flows in the pool.
     pub fn flows(&self) -> &[FiveTuple] {
         &self.flows
+    }
+}
+
+/// `rank^exponent`, skipping the `powf` call for the realistic exponent
+/// `1.0`, where `x.powf(1.0) == x` exactly (pinned by a test over every rank
+/// of a million-flow pool), so the CDF is bit-identical either way.
+fn zipf_weight_denominator(rank: f64, exponent: f64) -> f64 {
+    if exponent == 1.0 {
+        rank
+    } else {
+        rank.powf(exponent)
     }
 }
 
@@ -180,6 +191,16 @@ mod tests {
             .count();
         let fraction = tcp as f64 / gen.flow_count() as f64;
         assert!((fraction - 0.8).abs() < 0.03, "tcp fraction {fraction}");
+    }
+
+    #[test]
+    fn unit_exponent_skips_powf_without_changing_a_bit() {
+        for rank in 1..=1_000_000u32 {
+            let x = f64::from(rank);
+            assert_eq!(x.powf(1.0).to_bits(), x.to_bits(), "rank {rank}");
+            assert_eq!(zipf_weight_denominator(x, 1.0).to_bits(), x.to_bits());
+        }
+        assert_eq!(zipf_weight_denominator(4.0, 0.5), 2.0);
     }
 
     #[test]

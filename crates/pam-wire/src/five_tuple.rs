@@ -3,6 +3,7 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 use pam_types::{FlowId, PamError};
 use serde::{Deserialize, Serialize};
@@ -57,6 +58,38 @@ impl fmt::Display for IpProtocol {
             IpProtocol::Icmp => write!(f, "ICMP"),
             IpProtocol::Other(v) => write!(f, "proto-{v}"),
         }
+    }
+}
+
+impl FromStr for IpProtocol {
+    type Err = PamError;
+
+    /// Parses exactly what [`IpProtocol`]'s `Display` prints.
+    fn from_str(text: &str) -> Result<Self, PamError> {
+        match text {
+            "TCP" => Ok(IpProtocol::Tcp),
+            "UDP" => Ok(IpProtocol::Udp),
+            "ICMP" => Ok(IpProtocol::Icmp),
+            _ => text
+                .strip_prefix("proto-")
+                .and_then(parse_canonical_decimal)
+                .map(IpProtocol::Other)
+                .ok_or_else(|| PamError::malformed("protocol", "not a protocol name")),
+        }
+    }
+}
+
+/// Parses a decimal number written the way `Display` writes one: ASCII
+/// digits, no sign, no leading zero. Anything else is `None`, so that a
+/// parse followed by a print reproduces the text byte for byte.
+pub fn parse_canonical_decimal<T: FromStr>(text: &str) -> Option<T> {
+    let canonical = !text.is_empty()
+        && text.bytes().all(|b| b.is_ascii_digit())
+        && (text == "0" || !text.starts_with('0'));
+    if canonical {
+        text.parse().ok()
+    } else {
+        None
     }
 }
 
@@ -185,6 +218,32 @@ impl fmt::Display for FiveTuple {
             "{} {}:{} -> {}:{}",
             self.protocol, self.src_ip, self.src_port, self.dst_ip, self.dst_port
         )
+    }
+}
+
+impl FromStr for FiveTuple {
+    type Err = PamError;
+
+    /// Parses exactly what [`FiveTuple`]'s `Display` prints
+    /// (`"TCP 10.0.0.1:12345 -> 192.168.1.1:443"`), and nothing else: the
+    /// parsed tuple prints back to the same text.
+    fn from_str(text: &str) -> Result<Self, PamError> {
+        let malformed = || PamError::malformed("5-tuple", "not a printed 5-tuple");
+        let (protocol, endpoints) = text.split_once(' ').ok_or_else(malformed)?;
+        let (src, dst) = endpoints.split_once(" -> ").ok_or_else(malformed)?;
+        let endpoint = |text: &str| -> Option<(Ipv4Addr, u16)> {
+            let (ip, port) = text.split_once(':')?;
+            Some((ip.parse().ok()?, parse_canonical_decimal(port)?))
+        };
+        let (src_ip, src_port) = endpoint(src).ok_or_else(malformed)?;
+        let (dst_ip, dst_port) = endpoint(dst).ok_or_else(malformed)?;
+        Ok(FiveTuple {
+            src_ip,
+            dst_ip,
+            src_port,
+            dst_port,
+            protocol: protocol.parse()?,
+        })
     }
 }
 
@@ -332,6 +391,43 @@ mod tests {
     #[test]
     fn display_is_readable() {
         assert_eq!(tuple().to_string(), "TCP 10.0.0.1:12345 -> 192.168.1.1:443");
+    }
+
+    #[test]
+    fn printed_tuples_parse_back_exactly() {
+        for tuple in [
+            tuple(),
+            FiveTuple::udp(Ipv4Addr::new(0, 0, 0, 0), 0, Ipv4Addr::BROADCAST, 65535),
+            FiveTuple {
+                protocol: IpProtocol::Icmp,
+                ..tuple()
+            },
+            FiveTuple {
+                protocol: IpProtocol::Other(6),
+                ..tuple()
+            },
+        ] {
+            let text = tuple.to_string();
+            let parsed: FiveTuple = text.parse().unwrap();
+            assert_eq!(parsed, tuple);
+            assert_eq!(parsed.to_string(), text);
+        }
+        for bad in [
+            "",
+            "TCP",
+            "TCP 10.0.0.1:1 10.0.0.2:2",
+            "TCP 10.0.0.1:+1 -> 10.0.0.2:2",
+            "TCP 10.0.0.1:01 -> 10.0.0.2:2",
+            "TCP 10.0.0.1:65536 -> 10.0.0.2:2",
+            "TCP 10.0.0.1 -> 10.0.0.2:2",
+            "TCP 10.0.0.256:1 -> 10.0.0.2:2",
+            "tcp 10.0.0.1:1 -> 10.0.0.2:2",
+            "proto-x 10.0.0.1:1 -> 10.0.0.2:2",
+            "proto-256 10.0.0.1:1 -> 10.0.0.2:2",
+            "TCP 10.0.0.1:1 -> 10.0.0.2:2 ",
+        ] {
+            assert!(bad.parse::<FiveTuple>().is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
