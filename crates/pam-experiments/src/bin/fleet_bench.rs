@@ -22,9 +22,9 @@
 //!                                           # throughput + datapath sweep) —
 //!                                           # CI appends it to
 //!                                           # $GITHUB_STEP_SUMMARY
-//! fleet_bench --shards 4                    # run every matrix cell on the
-//!                                           # sharded fleet runner; the JSON
-//!                                           # is byte-identical at any N
+//! fleet_bench --shards 4                    # run every matrix cell's fleet
+//!                                           # on N lanes (default 1); the
+//!                                           # JSON is byte-identical at any N
 //! fleet_bench --scale 64,128                # also run the scaling curve at
 //!                                           # these fleet sizes ...
 //! fleet_bench --scale-shards 1,2,4          # ... across these shard counts
@@ -557,7 +557,7 @@ fn render_simulator_throughput_markdown(timings: &MatrixTimings) -> String {
 }
 
 /// Renders the sharded scaling curve as a markdown table. Every point was
-/// byte-compared against the sequential run inside `run_scale_curve`, so a
+/// byte-compared against the one-lane run inside `run_scale_curve`, so a
 /// row in this table is also a determinism witness; `speedup` is wall-clock
 /// (machine-dependent, reported for reading, never gated).
 fn render_scale_markdown(points: &[ScalePoint]) -> String {
@@ -791,7 +791,7 @@ fn main() -> ExitCode {
     };
 
     if !args.scale.is_empty() {
-        // Every sharded point is byte-compared against its sequential
+        // Every multi-lane point is byte-compared against its one-lane
         // reference inside `run_scale_curve`; divergence is a hard error.
         timings.scale = match run_scale_curve(&args.scale, &args.scale_shards) {
             Ok(points) => points,

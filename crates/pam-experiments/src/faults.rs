@@ -441,7 +441,7 @@ impl FaultScenario {
 
         let mut faulted = base.build_fleet(strategy)?;
         faulted.set_fault_plan(plan.clone())?;
-        faulted.run_sharded(horizon, shards.max(1));
+        faulted.run_sharded(horizon, shards);
         let report = faulted.report();
         let target_crashes = total_target_crashes(&faulted);
 
@@ -640,15 +640,15 @@ mod tests {
     }
 
     /// The determinism pin behind CI's fault matrix: a faulted cell is
-    /// byte-identical whether its fleet ran sequentially or sharded.
+    /// byte-identical whether its fleet ran on one lane or three.
     #[test]
     fn fault_cells_are_byte_identical_across_shard_counts() {
         let scenario = FaultScenario::new(FaultScenarioKind::LinkFlapStorm, 3);
-        let sequential = scenario.run(StrategyKind::Pam, 1).unwrap();
-        let sharded = scenario.run(StrategyKind::Pam, 3).unwrap();
+        let one_lane = scenario.run(StrategyKind::Pam, 1).unwrap();
+        let three_lanes = scenario.run(StrategyKind::Pam, 3).unwrap();
         assert_eq!(
-            serde_json::to_string(&sequential).unwrap(),
-            serde_json::to_string(&sharded).unwrap()
+            serde_json::to_string(&one_lane).unwrap(),
+            serde_json::to_string(&three_lanes).unwrap()
         );
     }
 

@@ -192,42 +192,6 @@ impl FleetScenario {
         self
     }
 
-    /// The same scenario running the given live-migration transfer mode.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_mode(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_mode(mut self, mode: MigrationMode) -> Self {
-        self.tuning = self.tuning.with_mode(mode);
-        self
-    }
-
-    /// The same scenario with every server's datapath batching up to `batch`
-    /// packets per doorbell (1 restores the unbatched baseline).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_batch(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_batch(mut self, batch: u32) -> Self {
-        self.tuning = self.tuning.with_batch(batch);
-        self
-    }
-
-    /// The same scenario running every link — per-server PCIe and the
-    /// inter-server interconnect — under the given throughput model
-    /// ([`LinkModel::FifoFixed`] restores the committed-baseline behaviour).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_link_model(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
-        self.tuning = self.tuning.with_link_model(link_model);
-        self
-    }
-
     /// A load far past what migration can relieve on one box (both devices
     /// saturate): what flash crowds and correlated overloads ramp to.
     fn hopeless_peak(&self) -> Gbps {
@@ -362,38 +326,24 @@ impl FleetScenario {
         Fleet::new(specs, self.fleet_config(strategy))
     }
 
-    /// Runs the scenario to its horizon and returns the fleet's report.
+    /// Runs the scenario to its horizon on one lane and returns the fleet's
+    /// report.
     pub fn run(&self, strategy: StrategyKind) -> Result<FleetReport> {
-        Ok(self.run_with_stats(strategy)?.0)
+        Ok(self.run_with_stats(strategy, 1)?.0)
     }
 
-    /// Runs the scenario and additionally returns the total number of
-    /// discrete events the run scheduled (deterministic; feeds the
-    /// events/second throughput figures of `fleet_bench --timings`).
-    pub fn run_with_stats(&self, strategy: StrategyKind) -> Result<(FleetReport, u64)> {
-        let mut fleet = self.build_fleet(strategy)?;
-        fleet.run(self.horizon());
-        let events = fleet.events_scheduled();
-        Ok((fleet.report(), events))
-    }
-
-    /// Runs the scenario on `shards` worker lanes (`pam_fleet`'s conservative
-    /// time-window runner; `1` is exactly the sequential runner). The report
-    /// is byte-identical at any shard count.
-    pub fn run_sharded(&self, strategy: StrategyKind, shards: usize) -> Result<FleetReport> {
-        Ok(self.run_with_stats_sharded(strategy, shards)?.0)
-    }
-
-    /// Like [`FleetScenario::run_with_stats`] but sharded, additionally
-    /// returning the runner's wall-clock side channel (per-lane event counts
-    /// and barrier-wait time).
-    pub fn run_with_stats_sharded(
+    /// Runs the scenario on `lanes` worker lanes (the report is
+    /// byte-identical at any lane count) and additionally returns the total
+    /// number of discrete events the run scheduled (deterministic; feeds the
+    /// events/second figures of `fleet_bench --timings`) and the runner's
+    /// wall-clock side channel (per-lane event counts and barrier-wait time).
+    pub fn run_with_stats(
         &self,
         strategy: StrategyKind,
-        shards: usize,
+        lanes: usize,
     ) -> Result<(FleetReport, u64, ShardRunStats)> {
         let mut fleet = self.build_fleet(strategy)?;
-        fleet.run_sharded(self.horizon(), shards);
+        fleet.run_sharded(self.horizon(), lanes);
         let events = fleet.events_scheduled();
         let stats = fleet.shard_stats().clone();
         Ok((fleet.report(), events, stats))
@@ -758,7 +708,7 @@ pub struct CellTiming {
     pub migration_mode: String,
     /// Doorbell batch size of the cell.
     pub batch: u32,
-    /// Shard lanes the cell's fleet ran on (1 = sequential runner).
+    /// Worker lanes the cell's fleet ran on.
     pub shards: usize,
     /// Wall-clock time of the cell run, milliseconds.
     pub wall_ms: f64,
@@ -766,9 +716,9 @@ pub struct CellTiming {
     pub events: u64,
     /// Simulator throughput of the cell: `events / wall seconds`.
     pub events_per_sec: f64,
-    /// Per-lane event counts, busy time and barrier-wait time of the sharded
-    /// runner (empty for sequential cells) — the honest synchronisation
-    /// overhead behind the headline speedup.
+    /// Per-lane event counts, busy time and barrier-wait time of the
+    /// windowed runner — the honest synchronisation overhead behind the
+    /// headline speedup.
     pub lanes: Vec<ShardLane>,
 }
 
@@ -798,7 +748,7 @@ pub struct ScalePoint {
     pub scenario: String,
     /// Fleet size of the point.
     pub servers: usize,
-    /// Shard lanes of the point (1 = sequential runner).
+    /// Worker lanes of the point (1 = the sequential reference).
     pub shards: usize,
     /// Wall-clock time of the run, milliseconds (machine-dependent).
     pub wall_ms: f64,
@@ -806,11 +756,11 @@ pub struct ScalePoint {
     pub events: u64,
     /// Simulator throughput: `events / wall seconds`.
     pub events_per_sec: f64,
-    /// Wall-clock speedup over the sequential run of the same fleet size.
+    /// Wall-clock speedup over the one-lane run of the same fleet size.
     pub speedup: f64,
-    /// Synchronisation windows the sharded runner executed (0 = sequential).
+    /// Synchronisation windows the runner executed.
     pub windows: u64,
-    /// Per-lane counters (empty for the sequential point).
+    /// Per-lane counters.
     pub lanes: Vec<ShardLane>,
 }
 
@@ -841,7 +791,7 @@ fn run_cell(
     let scenario = FleetScenario::new(kind, servers)
         .with_tuning(FleetTuning::default().with_mode(mode).with_batch(batch));
     let start = std::time::Instant::now();
-    let (report, events, shard_stats) = scenario.run_with_stats_sharded(strategy, shards)?;
+    let (report, events, shard_stats) = scenario.run_with_stats(strategy, shards)?;
     let wall = start.elapsed().as_secs_f64();
     let entry = FleetBenchEntry {
         scenario: kind.name().to_string(),
@@ -973,10 +923,10 @@ pub fn run_fleet_matrix_opts(
 pub const SCALE_CURVE_SCENARIO: FleetScenarioKind = FleetScenarioKind::DiurnalWave;
 
 /// Runs the events/sec-vs-servers-vs-shards scaling curve: for every fleet
-/// size, one sequential reference run plus one sharded run per requested
-/// shard count, all under PAM with the stable benchmark seed.
+/// size, one one-lane reference run plus one run per requested lane count
+/// above one, all under PAM with the stable benchmark seed.
 ///
-/// Every sharded run is byte-compared against the sequential reference
+/// Every multi-lane run is byte-compared against the one-lane reference
 /// report — the curve doubles as a determinism wall at fleet scale — and a
 /// divergence is an error, not a silently wrong speedup.
 pub fn run_scale_curve(server_counts: &[usize], shard_counts: &[usize]) -> Result<Vec<ScalePoint>> {
@@ -984,27 +934,27 @@ pub fn run_scale_curve(server_counts: &[usize], shard_counts: &[usize]) -> Resul
     for &servers in server_counts {
         let scenario = FleetScenario::new(SCALE_CURVE_SCENARIO, servers);
         let start = std::time::Instant::now();
-        let (reference, events) = scenario.run_with_stats(StrategyKind::Pam)?;
+        let (reference, events, reference_stats) = scenario.run_with_stats(StrategyKind::Pam, 1)?;
         let sequential_wall = start.elapsed().as_secs_f64();
         let reference_json = serde_json::to_string(&reference)
             .map_err(|e| PamError::InvalidState(format!("reference report serialization: {e}")))?;
         for &shards in shard_counts {
-            let (wall, windows, lanes) = if shards <= 1 {
-                (sequential_wall, 0, Vec::new())
+            let (wall, stats) = if shards <= 1 {
+                (sequential_wall, reference_stats.clone())
             } else {
                 let start = std::time::Instant::now();
                 let (report, sharded_events, stats) =
-                    scenario.run_with_stats_sharded(StrategyKind::Pam, shards)?;
+                    scenario.run_with_stats(StrategyKind::Pam, shards)?;
                 let wall = start.elapsed().as_secs_f64();
                 let json = serde_json::to_string(&report).map_err(|e| {
                     PamError::InvalidState(format!("sharded report serialization: {e}"))
                 })?;
                 if json != reference_json || sharded_events != events {
                     return Err(PamError::InvalidState(format!(
-                        "sharded run diverged from sequential: servers={servers} shards={shards}"
+                        "{shards}-lane run diverged from the one-lane run: servers={servers}"
                     )));
                 }
-                (wall, stats.windows, stats.lanes)
+                (wall, stats)
             };
             points.push(ScalePoint {
                 scenario: SCALE_CURVE_SCENARIO.name().to_string(),
@@ -1022,8 +972,8 @@ pub fn run_scale_curve(server_counts: &[usize], shard_counts: &[usize]) -> Resul
                 } else {
                     0.0
                 },
-                windows,
-                lanes,
+                windows: stats.windows,
+                lanes: stats.lanes,
             });
         }
     }
@@ -1256,17 +1206,19 @@ mod tests {
         );
         assert!(serial_timings.total_events > 0);
         assert!(serial_timings.cells.iter().all(|c| c.events > 0));
-        // The sequential matrix reports no lanes; the sharded one reports
-        // per-lane counters that sum to the cell's injected packets.
-        assert!(serial_timings.cells.iter().all(|c| c.lanes.is_empty()));
-        assert!(parallel_timings
-            .cells
-            .iter()
-            .all(|c| c.lanes.len() == 2 && c.lanes.iter().map(|l| l.packets).sum::<u64>() > 0));
+        // Every cell reports one counter set per lane it ran on, and its
+        // lanes submitted packets.
+        for (timings, lanes) in [(&serial_timings, 1), (&parallel_timings, 2)] {
+            assert!(timings
+                .cells
+                .iter()
+                .all(|c| c.lanes.len() == lanes
+                    && c.lanes.iter().map(|l| l.packets).sum::<u64>() > 0));
+        }
     }
 
-    /// The scaling curve runs its own determinism wall (every sharded point
-    /// byte-compared to the sequential reference) and reports honest
+    /// The scaling curve runs its own determinism wall (every multi-lane
+    /// point byte-compared to the one-lane reference) and reports honest
     /// synchronisation overhead per lane.
     #[test]
     fn scale_curve_points_carry_lane_accounting() {
@@ -1275,8 +1227,9 @@ mod tests {
         let sequential = &points[0];
         assert_eq!(sequential.shards, 1);
         assert_eq!(sequential.speedup, 1.0);
-        assert!(sequential.lanes.is_empty());
-        assert_eq!(sequential.windows, 0);
+        assert_eq!(sequential.lanes.len(), 1);
+        assert!(sequential.lanes[0].packets > 0);
+        assert!(sequential.windows > 0);
         let sharded = &points[1];
         assert_eq!(sharded.shards, 2);
         assert_eq!(sharded.servers, 3);
@@ -1376,25 +1329,6 @@ mod tests {
         assert_eq!(parsed.tuning.flows, 2000);
         assert_eq!(parsed.seed, DEFAULT_FLEET_SEED);
         assert_eq!(parsed.baseline, FleetScenario::new(parsed.kind, 2).baseline);
-    }
-
-    /// Pins the one-release deprecated shims: the old per-dimension setters
-    /// must be exactly the tuning path.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scenario_setters_are_thin_tuning_shims() {
-        let kind = FleetScenarioKind::RollingHotspot;
-        let shimmed = FleetScenario::new(kind, 2)
-            .with_mode(MigrationMode::PreCopy)
-            .with_batch(8)
-            .with_link_model(LinkModel::fair_share());
-        let tuned = FleetScenario::new(kind, 2).with_tuning(
-            FleetTuning::default()
-                .with_mode(MigrationMode::PreCopy)
-                .with_batch(8)
-                .with_link_model(LinkModel::fair_share()),
-        );
-        assert_eq!(shimmed, tuned);
     }
 
     /// Batching must not change *what* is delivered on a drop-free scenario,

@@ -18,9 +18,10 @@
 //!    receded, the spilled flows return home step by step.
 //!
 //! All data-plane and control-plane causality flows through a single
-//! [`EventQueue`] (home-packet arrivals and control ticks), so two runs of
-//! the same fleet are event-for-event identical — the replay-determinism
-//! tests serialize whole reports and compare bytes.
+//! [`EventQueue`] (home-packet arrivals, control ticks and faults), which the
+//! windowed runner in [`crate::shard`] replays in order, so two runs of the
+//! same fleet are event-for-event identical — the replay-determinism tests
+//! serialize whole reports and compare bytes.
 
 use pam_core::{Decision, ResourceModel};
 use pam_orchestrator::OrchestratorConfig;
@@ -228,8 +229,8 @@ pub(crate) enum FleetEvent {
 
 /// N servers, the steering table and the decision-ladder controller.
 ///
-/// Fields are crate-visible so the sharded runner in [`crate::shard`] can
-/// drive the same queue, servers and steering table as [`Fleet::run`].
+/// Fields are crate-visible so the windowed runner in [`crate::shard`] can
+/// drive the queue, servers and steering table.
 pub struct Fleet {
     pub(crate) config: FleetConfig,
     pub(crate) servers: Vec<FleetServer>,
@@ -254,10 +255,10 @@ pub struct Fleet {
     /// Packets routed to a crashed server and black-holed at its ingress.
     pub(crate) fault_drops: u64,
     /// When the last control tick ran — the start of the current
-    /// synchronisation window for the sharded runner's safety assertion.
+    /// synchronisation window for the windowed runner's safety assertion.
     pub(crate) last_tick: SimTime,
-    /// Wall-clock side channel of the sharded runner (empty for sequential
-    /// runs); never part of the gated [`FleetReport`].
+    /// Wall-clock side channel of the windowed runner; never part of the
+    /// gated [`FleetReport`].
     pub(crate) shard_stats: crate::shard::ShardRunStats,
 }
 
@@ -354,15 +355,15 @@ impl Fleet {
                 .sum::<u64>()
     }
 
-    /// Wall-clock statistics of every sharded run so far (empty when only
-    /// [`Fleet::run`] was used). A side channel: never part of the report.
+    /// Wall-clock statistics of every run so far, one entry per lane (a
+    /// [`Fleet::run`] is one lane). A side channel: never part of the report.
     pub fn shard_stats(&self) -> &crate::shard::ShardRunStats {
         &self.shard_stats
     }
 
     /// Installs a fault schedule. Must be called before the first
-    /// [`Fleet::run`]/[`crate::shard::run_sharded`] window (the fault events
-    /// are scheduled once, when the queue starts) and the plan must validate
+    /// [`Fleet::run`]/[`Fleet::run_sharded`] window (the fault events are
+    /// scheduled once, when the queue starts) and the plan must validate
     /// against this fleet's server count.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
         if self.started {
@@ -397,9 +398,8 @@ impl Fleet {
         self.fault_drops
     }
 
-    /// Lazily schedules the initial arrivals (in server-id order) and the
-    /// first control tick. Shared by [`Fleet::run`] and
-    /// [`crate::shard::run_sharded`] so both start from the same queue state.
+    /// Lazily schedules the initial arrivals (in server-id order), the first
+    /// control tick and the fault events.
     pub(crate) fn start(&mut self) {
         if self.started {
             return;
@@ -422,72 +422,34 @@ impl Fleet {
         }
     }
 
-    /// Runs the fleet until `until`, interleaving every server's home
-    /// arrivals and the control ticks through the single event queue.
-    /// Returns the number of control ticks run.
+    /// Runs the fleet until `until` on one lane: the windowed runner's
+    /// sequential case (see [`Fleet::run_sharded`]). Returns the number of
+    /// control ticks run.
     pub fn run(&mut self, until: SimTime) -> u64 {
-        self.start();
-        let ticks_before = self.control_steps;
-        while let Some(next) = self.events.peek_time() {
-            if next > until {
-                break;
-            }
-            let Some((now, event)) = self.events.pop() else {
-                unreachable!("peeked event must pop");
-            };
-            match event {
-                FleetEvent::Arrival(home) => self.on_arrival(now, home),
-                FleetEvent::ControlTick => {
-                    self.control_tick(now);
-                    self.events.schedule(
-                        now + self.config.orchestrator.poll_interval,
-                        FleetEvent::ControlTick,
-                    );
-                }
-                FleetEvent::Fault(index) => self.apply_fault(now, index),
-                FleetEvent::LinkRestore(server) => self.link_restore(now, server),
-                FleetEvent::SwingRestore(server) => self.swing_restore(now, server),
-            }
-        }
-        for server in &mut self.servers {
-            server.runtime_mut().drain_until(until);
-        }
-        self.control_steps - ticks_before
+        self.run_sharded(until, 1)
     }
 
-    /// Delivers one home packet of `home`, re-steered or not.
-    fn on_arrival(&mut self, now: SimTime, home: ServerId) {
-        if let Some((send_time, packet)) = self.servers[home.index()].take_pending() {
-            debug_assert_eq!(
-                send_time, now,
-                "arrival event fires at the packet's send time"
-            );
-            let target = self.steering.route(home, packet.flow_id());
-            if !self.health.is_alive(target) {
-                // A crashed server black-holes its ingress: the packet is
-                // counted and dropped before admission, never submitted.
-                // (Between a crash and its failover spill taking effect
-                // there is no window — `crash_server` installs the spill at
-                // the crash instant — so this arm only fires when *every*
-                // candidate survivor was also down.)
-                self.fault_drops += 1;
-            } else {
-                let server = &mut self.servers[target.index()];
-                server.note_arrival(packet.flow_id().raw(), packet.size());
-                #[cfg(test)]
-                server.log_submission(now, packet.flow_id().raw());
-                let runtime = server.runtime_mut();
-                runtime.drain_until(now);
-                runtime.submit(now, packet);
+    /// Applies one queue event that is not an arrival: a control tick (which
+    /// schedules the next one), a fault-plan event, or the end of a link flap
+    /// or capacity swing. Every such event is a window barrier.
+    pub(crate) fn apply_barrier(&mut self, now: SimTime, event: FleetEvent) {
+        match event {
+            FleetEvent::ControlTick => {
+                self.control_tick(now);
+                self.events.schedule(
+                    now + self.config.orchestrator.poll_interval,
+                    FleetEvent::ControlTick,
+                );
             }
-        }
-        if let Some(at) = self.servers[home.index()].next_arrival() {
-            self.events.schedule(at, FleetEvent::Arrival(home));
+            FleetEvent::Fault(index) => self.apply_fault(now, index),
+            FleetEvent::LinkRestore(server) => self.link_restore(now, server),
+            FleetEvent::SwingRestore(server) => self.swing_restore(now, server),
+            FleetEvent::Arrival(_) => unreachable!("arrivals are sequenced, never barriers"),
         }
     }
 
     /// One pass of the decision ladder over every server, in id order.
-    pub(crate) fn control_tick(&mut self, now: SimTime) {
+    fn control_tick(&mut self, now: SimTime) {
         self.control_steps += 1;
         self.last_tick = now;
 
@@ -506,7 +468,7 @@ impl Fleet {
         // expires, so the ladder never acts on a server whose windows are
         // still cold. (Phase 1 stays uniform over *all* servers — draining a
         // dead server's already-admitted packets is part of the black-hole
-        // semantics and keeps the sharded runner's windows identical.)
+        // semantics and keeps every lane count's windows identical.)
         for index in 0..self.servers.len() {
             let server_id = ServerId::from(index);
             if !self.health.eligible(server_id, now) {
@@ -638,9 +600,9 @@ impl Fleet {
     }
 
     /// Delivers fault-plan event `index`. Every runtime is drained to `now`
-    /// first — exactly what the sharded runner's window barrier does — so
-    /// the fault lands on identical data-plane state in both drivers.
-    pub(crate) fn apply_fault(&mut self, now: SimTime, index: usize) {
+    /// first — exactly what the window barrier does — so the fault lands on
+    /// identical data-plane state whichever runner reached it.
+    fn apply_fault(&mut self, now: SimTime, index: usize) {
         let Some(event) = self
             .fault_plan
             .as_ref()
@@ -680,7 +642,7 @@ impl Fleet {
     /// the outage past this restore — every flap schedules its own restore,
     /// and only the one matching the final `down_until` may recover (an
     /// early `recover_transport` would *shorten* the extended outage).
-    pub(crate) fn link_restore(&mut self, now: SimTime, server: ServerId) {
+    fn link_restore(&mut self, now: SimTime, server: ServerId) {
         let runtime = self.servers[server.index()].runtime_mut();
         runtime.drain_until(now);
         if runtime.link_down_until() <= now {
@@ -689,15 +651,14 @@ impl Fleet {
     }
 
     /// Ends a capacity swing on `server`, restoring nominal bandwidth.
-    pub(crate) fn swing_restore(&mut self, now: SimTime, server: ServerId) {
+    fn swing_restore(&mut self, now: SimTime, server: ServerId) {
         let runtime = self.servers[server.index()].runtime_mut();
         runtime.drain_until(now);
         runtime.link_set_capacity_factor(now, 1.0);
     }
 
-    /// Drains every runtime's data plane to `now`. Idempotent — the sharded
-    /// runner's windows and the sequential driver's per-arrival drains reach
-    /// the same state in any interleaving.
+    /// Drains every runtime's data plane to `now`. Idempotent — window ends
+    /// and per-arrival drains reach the same state in any interleaving.
     fn drain_all(&mut self, now: SimTime) {
         for server in &mut self.servers {
             server.runtime_mut().drain_until(now);

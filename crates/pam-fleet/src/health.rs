@@ -15,7 +15,7 @@
 //!   not immediately re-loaded while its caches and windows are cold.
 //!
 //! Everything here is plain indexed state mutated only at sequenced fault
-//! and control-tick events, so sharded runs observe exactly the sequential
+//! and control-tick events, so runs on any lane count observe the same
 //! health history (fault events are window barriers in
 //! [`crate::Fleet::run_sharded`]).
 

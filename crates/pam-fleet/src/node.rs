@@ -7,10 +7,10 @@
 //! sliding-window estimator the fleet controller feeds its decisions from.
 
 use pam_core::Placement;
-use pam_nf::{Packet, ServiceChainSpec};
+use pam_nf::ServiceChainSpec;
 use pam_orchestrator::{Orchestrator, OrchestratorConfig};
 use pam_runtime::{ChainRuntime, RuntimeConfig};
-use pam_traffic::{TraceConfig, TraceSynthesizer};
+use pam_traffic::{PacketDraw, TraceConfig, TraceSynthesizer};
 use pam_types::{Gbps, Result, ServerId, SimDuration, SimTime};
 
 use crate::estimator::LoadEstimator;
@@ -33,16 +33,16 @@ pub struct FleetServer {
     id: ServerId,
     runtime: ChainRuntime,
     trace: TraceSynthesizer,
-    pending: Option<(SimTime, Packet)>,
+    pending: Option<(SimTime, PacketDraw)>,
     orchestrator: Orchestrator,
     estimator: LoadEstimator,
     bytes_since_tick: u64,
-    /// Home packets sequenced into the current synchronisation window by the
-    /// sharded runner, waiting for their group's worker to submit them.
-    parked: std::collections::VecDeque<Packet>,
+    /// Home packets sequenced into the current synchronisation window, kept
+    /// as draws until their lane builds and submits them.
+    parked: std::collections::VecDeque<PacketDraw>,
     /// Test-only: the `(time, flow)` sequence of every packet submitted to
-    /// this server's runtime, for pinning that the sharded runner replays the
-    /// sequential per-server submission order exactly.
+    /// this server's runtime, for pinning that the windowed runner replays
+    /// the reference runner's per-server submission order exactly.
     #[cfg(test)]
     submissions: Vec<(SimTime, u64)>,
 }
@@ -158,29 +158,29 @@ impl FleetServer {
         pam_types::Gbps::from_bytes_per_sec(bytes as f64 / secs)
     }
 
-    /// The send time of the server's next home packet, if any. Pulls the
-    /// packet out of the trace and parks it until [`FleetServer::take_pending`].
-    pub fn next_arrival(&mut self) -> Option<SimTime> {
+    /// The send time of the server's next home packet, if any. Draws the
+    /// packet from the trace and holds it until [`FleetServer::take_pending`].
+    pub(crate) fn next_arrival(&mut self) -> Option<SimTime> {
         if self.pending.is_none() {
-            self.pending = self.trace.next_packet();
+            self.pending = self.trace.next_draw();
         }
         self.pending.as_ref().map(|(t, _)| *t)
     }
 
-    /// Takes the parked home packet (call after its arrival event fired).
-    pub fn take_pending(&mut self) -> Option<(SimTime, Packet)> {
+    /// Takes the held home packet draw (call after its arrival event fired).
+    pub(crate) fn take_pending(&mut self) -> Option<(SimTime, PacketDraw)> {
         self.pending.take()
     }
 
-    /// Parks one due home packet for the sharded runner's current window.
-    /// The sequencer calls this in global `(time, seq)` pop order, so the
-    /// FIFO preserves that order within the window.
-    pub fn park(&mut self, packet: Packet) {
-        self.parked.push_back(packet);
+    /// Parks one due home packet draw for the current window. The sequencer
+    /// calls this in global `(time, seq)` pop order, so the FIFO preserves
+    /// that order within the window.
+    pub(crate) fn park(&mut self, draw: PacketDraw) {
+        self.parked.push_back(draw);
     }
 
-    /// Takes the oldest packet parked by [`FleetServer::park`].
-    pub fn take_parked(&mut self) -> Option<Packet> {
+    /// Takes the oldest draw parked by [`FleetServer::park`].
+    pub(crate) fn take_parked(&mut self) -> Option<PacketDraw> {
         self.parked.pop_front()
     }
 
@@ -234,9 +234,10 @@ mod tests {
         let first = server.next_arrival().expect("trace has packets");
         // Peeking again must not consume a second packet.
         assert_eq!(server.next_arrival(), Some(first));
-        let (at, packet) = server.take_pending().expect("parked packet");
+        let (at, draw) = server.take_pending().expect("held draw");
         assert_eq!(at, first);
-        assert!(packet.size().as_bytes() > 0);
+        assert_eq!(draw.send_time, first);
+        assert_eq!(draw.build().size(), draw.size);
         assert_ne!(server.next_arrival(), None);
         assert_eq!(server.id(), ServerId::new(0));
     }

@@ -1,44 +1,52 @@
-//! Sharded parallel execution of one fleet, byte-identical to [`Fleet::run`].
+//! The fleet's runner: conservative time-window execution on one lane or
+//! many.
 //!
-//! [`Fleet::run_sharded`] splits one fleet simulation across scoped worker
-//! threads with **conservative time-window synchronisation** and produces the
-//! *exact* state — report, counters, event totals — of the sequential run at
-//! any shard count. The design separates what must be ordered from what is
+//! [`Fleet::run_sharded`] runs a fleet with **conservative time-window
+//! synchronisation**, spreading each window's data-plane work over up to
+//! `shards` worker lanes; [`Fleet::run`] is the same runner on one lane. The
+//! state it produces — report, counters, event totals — is the same at every
+//! lane count. The design separates what must be ordered from what is
 //! expensive:
 //!
 //! * **Sequencing stays sequential.** The fleet's own deterministic
-//!   [`pam_sim::EventQueue`] carries only home-arrival and control-tick
+//!   [`pam_sim::EventQueue`] carries home-arrival, control-tick and fault
 //!   events, and arrival streams are pure per-server seeded traces — so the
-//!   caller's thread can replay the queue's exact global `(time, seq)` pop
-//!   order cheaply, parking each due packet on its home server and appending
-//!   `(time, home)` to its group's order list. Every `schedule` call happens
-//!   on this thread in the same order as in [`Fleet::run`], so equal-time
-//!   cross-server ties (common under CBR traffic) resolve identically and
-//!   [`Fleet::events_scheduled`] matches to the event.
-//! * **Execution parallelises.** The expensive work — routing each packet
-//!   through the steering table into a server's [`ChainRuntime`]
+//!   caller's thread pops the queue in its exact global `(time, seq)` order,
+//!   parks each due packet's *draw* (tuple, size, send time; not the frame)
+//!   on its home server and appends `(time, home)` to the window's order
+//!   list. Every `schedule` call happens on this thread in pop order, so equal-time
+//!   cross-server ties (common under CBR traffic) resolve the same way at
+//!   every lane count and [`Fleet::events_scheduled`] matches to the event.
+//! * **Execution parallelises.** The expensive work — building each frame,
+//!   routing it through the steering table into a server's [`ChainRuntime`]
 //!   (`drain_until` + `submit`) and draining every runtime to the window end
 //!   — runs on worker lanes at each barrier.
 //!
-//! A **window** is one control interval: the orchestrator only re-steers
-//! flows at control ticks, so the steering table is frozen mid-window and a
-//! [`ShardPlan`] built from it is valid for the whole window. Every active
-//! spill is a zero-lookahead channel (a re-steered packet reaches its
-//! recipient at its original arrival instant), so the plan merges
-//! spill-connected servers into one *group* executed sequentially on one
-//! lane; independent servers parallelise freely. At the tick barrier the
-//! sequential controller runs the unchanged decision ladder (scale-out
-//! handoffs over the shared interconnect, scale-in, local migration) and the
-//! plan is rebuilt for the next window.
+//! A **window** ends at every queue event that is not an arrival: a control
+//! tick, a fault-plan event, or the end of a link flap or capacity swing.
+//! The orchestrator only re-steers flows at those barriers, so the steering
+//! table is frozen mid-window and a [`ShardPlan`] built from it is valid for
+//! the whole window. Every active spill is a zero-lookahead channel (a
+//! re-steered packet reaches its recipient at its original arrival instant),
+//! so the plan merges spill-connected servers into one *group*, and every
+//! group is dealt whole onto one lane; independent servers parallelise
+//! freely. Each lane walks the window's order list and delivers the arrivals
+//! whose home server it owns. At the barrier the caller's thread applies the
+//! event (the control tick runs the decision ladder: scale-out handoffs over
+//! the shared interconnect, scale-in, local migration) and the plan is
+//! rebuilt for the next window.
 //!
 //! Determinism argument, per server runtime: the sequence of
-//! `drain_until`/`submit` calls it observes is identical to the sequential
-//! run's — same packets, same times, same relative order (the group order
-//! list is a subsequence of the global pop order, and extra `drain_until`
-//! calls at window ends are idempotent no-ops the sequential tick performs
-//! too). Runtimes are deterministic functions of their call sequence, and all
-//! cross-server merges (steering counters, per-tick byte loads) are
-//! order-independent `u64` sums, so the merged report is byte-identical.
+//! `drain_until`/`submit` calls it observes is the same at every lane count,
+//! and the same as under a per-event loop that delivers each arrival the
+//! moment it pops (kept as the `#[cfg(test)]` reference runner every
+//! byte-identity test compares against) — same packets, same times, same
+//! relative order (a lane delivers its servers' subsequence of the global
+//! pop order, and extra `drain_until` calls at window ends are idempotent
+//! no-ops the control tick performs too). Runtimes are deterministic functions of
+//! their call sequence, and all cross-server merges (steering counters,
+//! per-tick byte loads) are order-independent `u64` sums, so the merged
+//! report is byte-identical.
 //!
 //! Wall-clock measurements ([`ShardRunStats`]) are a side channel for the
 //! benchmark harness and never enter the gated report; this module is the
@@ -59,7 +67,7 @@ use crate::health::NodeHealth;
 use crate::node::FleetServer;
 use crate::steering::{SteeringStats, SteeringTable};
 
-/// Wall-clock and event counters for one worker lane across a sharded run.
+/// Wall-clock and event counters for one worker lane across a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardLane {
     /// Packets this lane submitted into its runtimes.
@@ -73,11 +81,12 @@ pub struct ShardLane {
     pub barrier_wait_ms: f64,
 }
 
-/// What the sharded runner did: a machine-dependent side channel for the
+/// What the windowed runner did: a machine-dependent side channel for the
 /// benchmark harness's `--timings` output, never part of the gated report.
+/// A one-lane run ([`Fleet::run`]) records one lane.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardRunStats {
-    /// The largest shard count any `run_sharded` call requested.
+    /// The largest lane count any run requested.
     pub shards: usize,
     /// Synchronisation windows executed (including partial final windows).
     pub windows: u64,
@@ -90,95 +99,77 @@ pub struct ShardRunStats {
     pub lanes: Vec<ShardLane>,
 }
 
-/// One group's work for the current window: its servers (split-borrowed out
-/// of the fleet) and the globally-ordered arrivals sequenced into the window.
-struct GroupJob<'a> {
-    /// `(server index, server)` pairs in ascending index order.
-    members: Vec<(usize, &'a mut FleetServer)>,
-    /// `(arrival time, home server)` in global `(time, seq)` pop order.
-    order: &'a [(SimTime, ServerId)],
-}
-
-/// Executes one lane's groups sequentially: replays each group's sequenced
-/// arrivals against the window-frozen steering table (packets whose target
-/// is crashed are black-holed, exactly as the sequential driver does), then
-/// drains every member runtime to the window end (the barrier). Returns the
-/// lane's steering tally, packets submitted, runtime events scheduled,
-/// fault drops and busy wall-clock milliseconds.
+/// Executes one lane's share of a window. `servers` is indexed by server id
+/// and holds the servers this lane owns (`None` for the other lanes'). The
+/// lane walks the window's `order` list, builds each of its arrivals from the
+/// parked draw, routes it against the window-frozen steering table (packets
+/// whose target is crashed are black-holed and never submitted), then drains
+/// every runtime it owns to the window end (the barrier). Returns the lane's
+/// steering tally, packets submitted, runtime events scheduled, fault drops
+/// and busy wall-clock milliseconds.
 fn run_lane(
-    jobs: &mut [GroupJob<'_>],
+    servers: &mut [Option<&mut FleetServer>],
+    order: &[(SimTime, ServerId)],
     steering: &SteeringTable,
     health: &NodeHealth,
     end: SimTime,
 ) -> (SteeringStats, u64, u64, u64, f64) {
     let clock = Instant::now();
+    let scheduled = |servers: &[Option<&mut FleetServer>]| -> u64 {
+        servers
+            .iter()
+            .flatten()
+            .map(|server| server.runtime().events_scheduled())
+            .sum()
+    };
+    let before = scheduled(servers);
     let mut stats = SteeringStats::default();
     let mut packets = 0u64;
-    let mut events = 0u64;
     let mut fault_drops = 0u64;
-    for job in jobs.iter_mut() {
-        let before: u64 = job
-            .members
-            .iter()
-            .map(|(_, server)| server.runtime().events_scheduled())
-            .sum();
-        for &(at, home) in job.order {
-            let Ok(home_position) = job
-                .members
-                .binary_search_by_key(&home.index(), |(node, _)| *node)
-            else {
-                unreachable!("a sequenced arrival's home server is in its group");
-            };
-            let Some(packet) = job.members[home_position].1.take_parked() else {
-                unreachable!("the sequencer parked one packet per order entry");
-            };
-            let target = steering.route_into(home, packet.flow_id(), &mut stats);
-            if !health.is_alive(target) {
-                // The target crashed and no survivor could take its flows:
-                // count the black-holed packet and never submit it, matching
-                // the sequential driver's `on_arrival`.
-                fault_drops += 1;
-                continue;
-            }
-            let Ok(target_position) = job
-                .members
-                .binary_search_by_key(&target.index(), |(node, _)| *node)
-            else {
-                unreachable!("spill channels keep recipients in the home's group");
-            };
-            let server = &mut job.members[target_position].1;
-            server.note_arrival(packet.flow_id().raw(), packet.size());
-            #[cfg(test)]
-            server.log_submission(at, packet.flow_id().raw());
-            let runtime = server.runtime_mut();
-            runtime.drain_until(at);
-            runtime.submit(at, packet);
-            packets += 1;
+    for &(at, home) in order {
+        let Some(home_server) = servers[home.index()].as_deref_mut() else {
+            continue; // another lane's arrival
+        };
+        let Some(draw) = home_server.take_parked() else {
+            unreachable!("the sequencer parked one draw per order entry");
+        };
+        let packet = draw.build();
+        let target = steering.route_into(home, packet.flow_id(), &mut stats);
+        if !health.is_alive(target) {
+            // A crashed server black-holes its ingress: the packet is counted
+            // and dropped before admission. (`crash_server` installs the
+            // failover spill at the crash instant, so this only fires when
+            // every candidate survivor is down too.)
+            fault_drops += 1;
+            continue;
         }
-        for (_, server) in job.members.iter_mut() {
-            server.runtime_mut().drain_until(end);
-        }
-        let after: u64 = job
-            .members
-            .iter()
-            .map(|(_, server)| server.runtime().events_scheduled())
-            .sum();
-        events += after - before;
+        let Some(server) = servers[target.index()].as_deref_mut() else {
+            unreachable!("spill channels keep recipients on the home's lane");
+        };
+        server.note_arrival(packet.flow_id().raw(), packet.size());
+        #[cfg(test)]
+        server.log_submission(at, packet.flow_id().raw());
+        let runtime = server.runtime_mut();
+        runtime.drain_until(at);
+        runtime.submit(at, packet);
+        packets += 1;
     }
+    for server in servers.iter_mut().flatten() {
+        server.runtime_mut().drain_until(end);
+    }
+    let events = scheduled(servers) - before;
     let busy_ms = clock.elapsed().as_secs_f64() * 1e3;
     (stats, packets, events, fault_drops, busy_ms)
 }
 
 impl Fleet {
-    /// Runs the fleet until `until` with window execution spread over up to
-    /// `shards` worker lanes. Produces byte-identical state to [`Fleet::run`]
-    /// at any shard count; `shards <= 1` *is* [`Fleet::run`]. Returns the
-    /// number of control ticks run. Sequential and sharded runs may be mixed
-    /// freely on one fleet (both drive the same queue).
+    /// Runs the fleet until `until`, executing each window's data-plane work
+    /// on up to `shards` worker lanes (`0` counts as one). The state it
+    /// produces is the same at any lane count; [`Fleet::run`] is one lane.
+    /// Returns the number of control ticks run. Runs may be resumed, and
+    /// lane counts mixed, freely: every run drives the same queue.
     pub fn run_sharded(&mut self, until: SimTime, shards: usize) -> u64 {
-        if shards <= 1 {
-            return self.run(until);
-        }
+        let shards = shards.max(1);
         self.start();
         let ticks_before = self.control_steps;
         let interval = self.config.orchestrator.poll_interval;
@@ -187,25 +178,15 @@ impl Fleet {
             self.shard_stats.lanes.resize(shards, ShardLane::default());
         }
         let mut plan = self.shard_plan(interval);
-        let mut orders: Vec<Vec<(SimTime, ServerId)>> = vec![Vec::new(); plan.groups().len()];
-        loop {
-            let at_end = match self.events.peek_time() {
-                None => true,
-                Some(next) => next > until,
-            };
-            if at_end {
-                // Partial final window: execute what was sequenced so far and
-                // drain every runtime to `until`, exactly where the
-                // sequential run's final drain loop would leave them.
-                self.execute_window(&plan, &orders, until, shards);
-                break;
-            }
+        let mut order: Vec<(SimTime, ServerId)> = Vec::new();
+        while self.events.peek_time().is_some_and(|next| next <= until) {
             let Some((now, event)) = self.events.pop() else {
                 unreachable!("peeked event must pop");
             };
             match event {
                 FleetEvent::Arrival(home) => {
-                    if let Some((send_time, packet)) = self.servers[home.index()].take_pending() {
+                    let server = &mut self.servers[home.index()];
+                    if let Some((send_time, draw)) = server.take_pending() {
                         debug_assert_eq!(
                             send_time, now,
                             "arrival event fires at the packet's send time"
@@ -214,56 +195,30 @@ impl Fleet {
                             plan.is_safe(self.last_tick, now),
                             "sequenced arrival past the window's safe horizon"
                         );
-                        orders[plan.group_of(home.index())].push((now, home));
-                        self.servers[home.index()].park(packet);
+                        order.push((now, home));
+                        server.park(draw);
                     }
-                    if let Some(at) = self.servers[home.index()].next_arrival() {
+                    if let Some(at) = server.next_arrival() {
                         self.events.schedule(at, FleetEvent::Arrival(home));
                     }
                 }
-                FleetEvent::ControlTick => {
-                    self.execute_window(&plan, &orders, now, shards);
-                    self.control_tick(now);
-                    self.events
-                        .schedule(now + interval, FleetEvent::ControlTick);
-                    // The tick may have re-steered flows: re-plan the groups
-                    // for the next window against the updated table.
+                // Every other event is a window barrier: everything sequenced
+                // so far executes against the pre-barrier state, the event
+                // applies on the caller's thread, and the groups are
+                // re-planned — a control tick or a crash may have re-steered
+                // flows, so the old plan's groups may no longer co-schedule
+                // the right servers.
+                barrier => {
+                    self.execute_window(&plan, &order, now, shards);
+                    order.clear();
+                    self.apply_barrier(now, barrier);
                     plan = self.shard_plan(interval);
-                    orders.clear();
-                    orders.resize(plan.groups().len(), Vec::new());
-                }
-                // Fault-plan events are window barriers, exactly like the
-                // control tick: everything sequenced so far executes against
-                // the pre-fault state, the fault (or restore) applies on the
-                // caller's thread, and the groups are re-planned — a crash
-                // re-steers flows (failover spill), so the old plan's groups
-                // may no longer co-schedule the right servers.
-                FleetEvent::Fault(index) => {
-                    self.execute_window(&plan, &orders, now, shards);
-                    self.apply_fault(now, index);
-                    plan = self.shard_plan(interval);
-                    orders.clear();
-                    orders.resize(plan.groups().len(), Vec::new());
-                }
-                FleetEvent::LinkRestore(server) => {
-                    self.execute_window(&plan, &orders, now, shards);
-                    self.link_restore(now, server);
-                    plan = self.shard_plan(interval);
-                    orders.clear();
-                    orders.resize(plan.groups().len(), Vec::new());
-                }
-                FleetEvent::SwingRestore(server) => {
-                    self.execute_window(&plan, &orders, now, shards);
-                    self.swing_restore(now, server);
-                    plan = self.shard_plan(interval);
-                    orders.clear();
-                    orders.resize(plan.groups().len(), Vec::new());
                 }
             }
         }
-        for server in &mut self.servers {
-            server.runtime_mut().drain_until(until);
-        }
+        // Partial final window: execute what was sequenced so far and drain
+        // every runtime to `until`.
+        self.execute_window(&plan, &order, until, shards);
         self.control_steps - ticks_before
     }
 
@@ -289,16 +244,15 @@ impl Fleet {
     }
 
     /// Executes one synchronisation window: deals the plan's groups onto
-    /// worker lanes, replays each group's sequenced arrivals and drains every
+    /// worker lanes, delivers the window's sequenced arrivals and drains every
     /// runtime to `end`, then merges the lanes' order-independent tallies.
     fn execute_window(
         &mut self,
         plan: &ShardPlan,
-        orders: &[Vec<(SimTime, ServerId)>],
+        order: &[(SimTime, ServerId)],
         end: SimTime,
         shards: usize,
     ) {
-        debug_assert_eq!(orders.len(), plan.groups().len());
         let groups = plan.groups().len();
         if self.shard_stats.windows == 0 {
             self.shard_stats.groups_min = groups;
@@ -309,41 +263,41 @@ impl Fleet {
         }
         self.shard_stats.windows += 1;
 
+        // Every lane gets a server-indexed view of the fleet holding only the
+        // servers of the groups dealt to it.
+        let count = self.servers.len();
+        let lanes = plan.lanes(shards);
+        let mut owner = vec![0; count];
+        for (lane, lane_groups) in lanes.iter().enumerate() {
+            for &group in lane_groups {
+                for &node in &plan.groups()[group] {
+                    owner[node] = lane;
+                }
+            }
+        }
+        let mut lane_servers: Vec<Vec<Option<&mut FleetServer>>> = lanes
+            .iter()
+            .map(|_| std::iter::repeat_with(|| None).take(count).collect())
+            .collect();
+        for (node, server) in self.servers.iter_mut().enumerate() {
+            lane_servers[owner[node]][node] = Some(server);
+        }
+
         let steering = &self.steering;
         let health = &self.health;
-        let mut slots: Vec<Option<&mut FleetServer>> = self.servers.iter_mut().map(Some).collect();
-        let mut lane_jobs: Vec<Vec<GroupJob<'_>>> = plan
-            .lanes(shards)
-            .iter()
-            .map(|lane| {
-                lane.iter()
-                    .map(|&group| GroupJob {
-                        order: orders[group].as_slice(),
-                        members: plan.groups()[group]
-                            .iter()
-                            .map(|&node| {
-                                let Some(server) = slots[node].take() else {
-                                    unreachable!("plan groups partition the servers");
-                                };
-                                (node, server)
-                            })
-                            .collect(),
-                    })
-                    .collect()
-            })
-            .collect();
-
         let window_clock = Instant::now();
-        let results: Vec<(SteeringStats, u64, u64, u64, f64)> = if lane_jobs.len() <= 1 {
-            lane_jobs
+        let results: Vec<(SteeringStats, u64, u64, u64, f64)> = if lane_servers.len() <= 1 {
+            lane_servers
                 .iter_mut()
-                .map(|jobs| run_lane(jobs, steering, health, end))
+                .map(|servers| run_lane(servers, order, steering, health, end))
                 .collect()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = lane_jobs
+                let handles: Vec<_> = lane_servers
                     .into_iter()
-                    .map(|mut jobs| scope.spawn(move || run_lane(&mut jobs, steering, health, end)))
+                    .map(|mut servers| {
+                        scope.spawn(move || run_lane(&mut servers, order, steering, health, end))
+                    })
                     .collect();
                 // Join in lane order: the merge below is order-independent,
                 // but a deterministic order keeps panics reproducible.
@@ -372,6 +326,60 @@ impl Fleet {
     }
 }
 
+/// The per-event reference runner: each arrival is delivered the moment it
+/// pops — frame built, routed, drained to and submitted — and every other
+/// event applies as it pops. It is the plain reading of the fleet's event
+/// queue that the windowed runner must reproduce byte for byte, kept only
+/// for the tests, as the reference heap is kept behind the calendar queue.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl Fleet {
+        /// Runs the fleet until `until` one event at a time. Returns the
+        /// number of control ticks run.
+        pub(crate) fn run_reference(&mut self, until: SimTime) -> u64 {
+            self.start();
+            let ticks_before = self.control_steps;
+            while self.events.peek_time().is_some_and(|next| next <= until) {
+                let Some((now, event)) = self.events.pop() else {
+                    unreachable!("peeked event must pop");
+                };
+                match event {
+                    FleetEvent::Arrival(home) => self.on_arrival(now, home),
+                    barrier => self.apply_barrier(now, barrier),
+                }
+            }
+            for server in &mut self.servers {
+                server.runtime_mut().drain_until(until);
+            }
+            self.control_steps - ticks_before
+        }
+
+        /// Delivers one home packet of `home`, re-steered or not.
+        fn on_arrival(&mut self, now: SimTime, home: ServerId) {
+            if let Some((send_time, draw)) = self.servers[home.index()].take_pending() {
+                assert_eq!(send_time, now, "arrival event fires at the send time");
+                let packet = draw.build();
+                let target = self.steering.route(home, packet.flow_id());
+                if !self.health.is_alive(target) {
+                    self.fault_drops += 1;
+                } else {
+                    let server = &mut self.servers[target.index()];
+                    server.note_arrival(packet.flow_id().raw(), packet.size());
+                    server.log_submission(now, packet.flow_id().raw());
+                    let runtime = server.runtime_mut();
+                    runtime.drain_until(now);
+                    runtime.submit(now, packet);
+                }
+            }
+            if let Some(at) = self.servers[home.index()].next_arrival() {
+                self.events.schedule(at, FleetEvent::Arrival(home));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,6 +392,10 @@ mod tests {
         ArrivalProcess, FlowGeneratorConfig, PacketSizeProfile, Phase, TraceConfig, TrafficSchedule,
     };
     use pam_types::{ByteSize, Gbps};
+
+    /// The lane counts every byte-identity test runs: the one-lane
+    /// sequential case, and more lanes than the fleets have servers.
+    const LANES: [usize; 4] = [1, 2, 3, 8];
 
     fn spec_with(schedule: TrafficSchedule, seed: u64) -> ServerSpec {
         ServerSpec {
@@ -428,49 +440,51 @@ mod tests {
 
     #[test]
     fn sharded_run_is_byte_identical_to_sequential() {
-        let mut sequential = hopeless_fleet(4, StrategyKind::Pam);
-        sequential.run(SimTime::from_millis(30));
-        for shards in [2, 3, 8] {
+        let mut reference = hopeless_fleet(4, StrategyKind::Pam);
+        reference.run_reference(SimTime::from_millis(30));
+        for shards in LANES {
             let mut sharded = hopeless_fleet(4, StrategyKind::Pam);
             let ticks = sharded.run_sharded(SimTime::from_millis(30), shards);
             assert_eq!(ticks, 30, "1 ms cadence over 30 ms");
             assert_eq!(
-                report_json(&sequential),
+                report_json(&reference),
                 report_json(&sharded),
-                "{shards} shards diverged from the sequential run"
+                "{shards} lanes diverged from the reference run"
             );
             assert_eq!(
-                sequential.events_scheduled(),
+                reference.events_scheduled(),
                 sharded.events_scheduled(),
-                "{shards} shards scheduled a different event count"
+                "{shards} lanes scheduled a different event count"
             );
-            assert_eq!(sequential.scale_outs(), sharded.scale_outs());
-            assert_eq!(sequential.scale_ins(), sharded.scale_ins());
-            assert_eq!(sequential.log(), sharded.log());
+            assert_eq!(reference.scale_outs(), sharded.scale_outs());
+            assert_eq!(reference.scale_ins(), sharded.scale_ins());
+            assert_eq!(reference.log(), sharded.log());
         }
     }
 
     #[test]
     fn per_server_submission_sequences_match_the_sequential_run() {
-        let mut sequential = hopeless_fleet(3, StrategyKind::Pam);
-        sequential.run(SimTime::from_millis(30));
-        let mut sharded = hopeless_fleet(3, StrategyKind::Pam);
-        sharded.run_sharded(SimTime::from_millis(30), 3);
-        for (a, b) in sequential.servers.iter().zip(&sharded.servers) {
-            assert!(!a.submissions().is_empty(), "scenario feeds every server");
-            assert_eq!(
-                a.submissions(),
-                b.submissions(),
-                "server {:?} saw a different (time, flow) submission sequence",
-                a.id()
-            );
+        let mut reference = hopeless_fleet(3, StrategyKind::Pam);
+        reference.run_reference(SimTime::from_millis(30));
+        for shards in LANES {
+            let mut sharded = hopeless_fleet(3, StrategyKind::Pam);
+            sharded.run_sharded(SimTime::from_millis(30), shards);
+            for (a, b) in reference.servers.iter().zip(&sharded.servers) {
+                assert!(!a.submissions().is_empty(), "scenario feeds every server");
+                assert_eq!(
+                    a.submissions(),
+                    b.submissions(),
+                    "server {:?} saw a different (time, flow) submission sequence on {shards} lanes",
+                    a.id()
+                );
+            }
         }
     }
 
     #[test]
     fn sharded_runs_resume_and_mix_with_sequential_runs() {
         let mut whole = hopeless_fleet(2, StrategyKind::Pam);
-        whole.run(SimTime::from_millis(30));
+        whole.run_reference(SimTime::from_millis(30));
         let expected = report_json(&whole);
 
         let mut resumed = hopeless_fleet(2, StrategyKind::Pam);
@@ -479,18 +493,29 @@ mod tests {
         assert_eq!(expected, report_json(&resumed), "split sharded runs");
 
         let mut mixed = hopeless_fleet(2, StrategyKind::Pam);
-        mixed.run(SimTime::from_millis(9));
+        mixed.run_reference(SimTime::from_millis(9));
         mixed.run_sharded(SimTime::from_millis(21), 2);
         mixed.run(SimTime::from_millis(30));
-        assert_eq!(expected, report_json(&mixed), "mixed sequential/sharded");
+        assert_eq!(expected, report_json(&mixed), "mixed runners and lanes");
     }
 
     #[test]
-    fn one_shard_delegates_to_the_sequential_runner() {
+    fn one_lane_runs_windows() {
         let mut fleet = hopeless_fleet(2, StrategyKind::Pam);
-        fleet.run_sharded(SimTime::from_millis(30), 1);
-        assert_eq!(fleet.shard_stats().windows, 0, "no windowed execution");
-        assert!(fleet.shard_stats().lanes.is_empty());
+        let ticks = fleet.run(SimTime::from_millis(30));
+        let stats = fleet.shard_stats();
+        assert_eq!(stats.shards, 1);
+        assert_eq!(stats.lanes.len(), 1, "one lane");
+        assert!(
+            stats.windows >= ticks,
+            "{} windows for {ticks} control ticks",
+            stats.windows
+        );
+        assert_eq!(
+            stats.lanes[0].packets,
+            fleet.report().totals.injected,
+            "the lane submitted every injected packet"
+        );
     }
 
     #[test]
@@ -531,32 +556,32 @@ mod tests {
         );
     }
 
-    /// The sequencer schedules exactly like the sequential run: drive both
+    /// The sequencer schedules exactly like the reference runner: drive both
     /// queues side by side and compare every `(time, event)` pop. This is the
     /// strongest form of the "identical `(time, seq)` sequences" property —
     /// checked at the fleet queue (the sequencer) here, and per server by
     /// `per_server_submission_sequences_match_the_sequential_run`.
     #[test]
     fn sequencer_pop_order_matches_the_sequential_run() {
-        let mut sequential = hopeless_fleet(3, StrategyKind::Pam);
+        let mut reference = hopeless_fleet(3, StrategyKind::Pam);
         let mut sharded = hopeless_fleet(3, StrategyKind::Pam);
         // Alternate 1 ms slices so both fleets interleave run styles.
         for slice in 1..=30u64 {
             let until = SimTime::from_millis(slice);
-            sequential.run(until);
+            reference.run_reference(until);
             sharded.run_sharded(until, 3);
             assert_eq!(
-                sequential.events.scheduled_total(),
+                reference.events.scheduled_total(),
                 sharded.events.scheduled_total(),
                 "sequencer diverged by {slice} ms"
             );
             assert_eq!(
-                sequential.events.peek_time(),
+                reference.events.peek_time(),
                 sharded.events.peek_time(),
                 "next event time diverged by {slice} ms"
             );
         }
-        assert_eq!(report_json(&sequential), report_json(&sharded));
+        assert_eq!(report_json(&reference), report_json(&sharded));
     }
 
     use pam_sim::{FaultEvent, FaultKind, FaultPlan};
@@ -605,36 +630,36 @@ mod tests {
 
     #[test]
     fn sharded_run_with_faults_is_byte_identical_to_sequential() {
-        let mut sequential = hopeless_fleet(4, StrategyKind::Pam);
-        sequential.set_fault_plan(mixed_fault_plan()).unwrap();
-        sequential.run(SimTime::from_millis(30));
-        let report = sequential.report();
+        let mut reference = hopeless_fleet(4, StrategyKind::Pam);
+        reference.set_fault_plan(mixed_fault_plan()).unwrap();
+        reference.run_reference(SimTime::from_millis(30));
+        let report = reference.report();
         assert_eq!(report.totals.server_crashes, 1, "the plan actually fired");
         assert_eq!(report.totals.server_recoveries, 1);
-        for shards in [2, 3, 8] {
+        for shards in LANES {
             let mut sharded = hopeless_fleet(4, StrategyKind::Pam);
             sharded.set_fault_plan(mixed_fault_plan()).unwrap();
             sharded.run_sharded(SimTime::from_millis(30), shards);
             assert_eq!(
-                report_json(&sequential),
+                report_json(&reference),
                 report_json(&sharded),
-                "{shards} shards diverged from the sequential faulted run"
+                "{shards} lanes diverged from the reference faulted run"
             );
             assert_eq!(
-                sequential.events_scheduled(),
+                reference.events_scheduled(),
                 sharded.events_scheduled(),
-                "{shards} shards scheduled a different event count under faults"
+                "{shards} lanes scheduled a different event count under faults"
             );
-            assert_eq!(sequential.log(), sharded.log());
-            assert_eq!(sequential.fault_drops(), sharded.fault_drops());
+            assert_eq!(reference.log(), sharded.log());
+            assert_eq!(reference.fault_drops(), sharded.fault_drops());
         }
-        // Mixed sequential/sharded resumption across fault instants too.
+        // Mixed runners and lane counts resume across fault instants too.
         let mut mixed = hopeless_fleet(4, StrategyKind::Pam);
         mixed.set_fault_plan(mixed_fault_plan()).unwrap();
-        mixed.run(SimTime::from_micros(4_500));
+        mixed.run_reference(SimTime::from_micros(4_500));
         mixed.run_sharded(SimTime::from_millis(13), 3);
         mixed.run(SimTime::from_millis(30));
-        assert_eq!(report_json(&sequential), report_json(&mixed));
+        assert_eq!(report_json(&reference), report_json(&mixed));
     }
 
     mod proptests {
@@ -643,7 +668,7 @@ mod tests {
 
         proptest! {
             /// Random mini-fleets: any mix of rates, seeds, server counts and
-            /// shard counts replays byte-identically under sharding, with
+            /// lane counts replays the reference run byte-identically, with
             /// identical per-server submission sequences. Ignored on the
             /// default path (each case simulates two full fleets); CI's
             /// proptest job runs it deep in release.
@@ -651,7 +676,7 @@ mod tests {
             #[ignore = "randomised deep suite; CI proptest job runs it in release"]
             fn random_fleets_are_byte_identical_under_sharding(
                 servers in 2usize..5,
-                shards in 2usize..7,
+                shards in 1usize..7,
                 seed in 0u64..1_000,
                 hot_tenths in 30u64..40,
                 horizon_ms in 4u64..9,
@@ -672,13 +697,13 @@ mod tests {
                     Fleet::new(specs, FleetConfig::with_strategy(StrategyKind::Pam)).unwrap()
                 };
                 let until = SimTime::from_millis(horizon_ms);
-                let mut sequential = build();
-                sequential.run(until);
+                let mut reference = build();
+                reference.run_reference(until);
                 let mut sharded = build();
                 sharded.run_sharded(until, shards);
-                prop_assert_eq!(report_json(&sequential), report_json(&sharded));
-                prop_assert_eq!(sequential.events_scheduled(), sharded.events_scheduled());
-                for (a, b) in sequential.servers.iter().zip(&sharded.servers) {
+                prop_assert_eq!(report_json(&reference), report_json(&sharded));
+                prop_assert_eq!(reference.events_scheduled(), sharded.events_scheduled());
+                for (a, b) in reference.servers.iter().zip(&sharded.servers) {
                     prop_assert_eq!(a.submissions(), b.submissions());
                 }
             }

@@ -138,17 +138,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the PCIe link throughput model (FIFO-fixed baseline or
-    /// contention-aware fair sharing), keeping the other link knobs.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `tuned(RuntimeTuning::default().with_link_model(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_link_model(self, link_model: LinkModel) -> Self {
-        self.tuned(&RuntimeTuning::default().with_link_model(link_model))
-    }
-
     /// Overrides the live-migration engine configuration.
     pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
         self.migration = migration;
@@ -160,18 +149,6 @@ impl RuntimeConfig {
     pub fn with_migration_mode(mut self, mode: MigrationMode) -> Self {
         self.migration.mode = mode;
         self
-    }
-
-    /// Selects what pre-copy does at the round cap without convergence
-    /// (force the freeze, or roll the migration back), keeping the other
-    /// engine knobs at their current values.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `tuned(RuntimeTuning::default().with_divergence(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_divergence_policy(self, policy: DivergencePolicy) -> Self {
-        self.tuned(&RuntimeTuning::default().with_divergence(policy))
     }
 
     /// Overrides the datapath batching knobs.
@@ -216,10 +193,8 @@ impl RuntimeConfig {
 ///
 /// Every field is optional: `None` keeps the committed-baseline knob, `Some`
 /// overrides it — so a tuning serialises to exactly the dimensions it moves
-/// and an empty object is the baseline. This is the consolidation target for
-/// the historical one-setter-per-dimension sprawl (`with_link_model`,
-/// `with_divergence_policy`, ...): ablations build one `RuntimeTuning` and
-/// apply it with [`RuntimeConfig::tuned`].
+/// and an empty object is the baseline. Ablations build one `RuntimeTuning`
+/// and apply it with [`RuntimeConfig::tuned`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RuntimeTuning {
     /// PCIe link throughput model (`None` = FIFO-fixed baseline).
@@ -406,30 +381,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_are_thin_tuning_shims() {
-        // Pins the one-release compatibility shims: the old setters must
-        // produce exactly what the tuning path produces.
-        assert_eq!(
-            RuntimeConfig::evaluation_default()
-                .with_link_model(LinkModel::fair_share())
-                .pcie,
-            RuntimeConfig::evaluation_default()
-                .tuned(&RuntimeTuning::default().with_link_model(LinkModel::fair_share()))
-                .pcie
-        );
-        assert_eq!(
-            RuntimeConfig::evaluation_default()
-                .with_divergence_policy(DivergencePolicy::Abort)
-                .migration,
-            RuntimeConfig::evaluation_default()
-                .tuned(&RuntimeTuning::default().with_divergence(DivergencePolicy::Abort))
-                .migration
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn migration_builders_select_mode_and_knobs() {
         let config = RuntimeConfig::default();
         assert_eq!(config.migration.mode, MigrationMode::StopAndCopy);
@@ -449,7 +400,7 @@ mod tests {
         );
         let aborting = RuntimeConfig::default()
             .with_migration_mode(MigrationMode::PreCopy)
-            .with_divergence_policy(DivergencePolicy::Abort);
+            .tuned(&RuntimeTuning::default().with_divergence(DivergencePolicy::Abort));
         assert_eq!(aborting.migration.on_divergence, DivergencePolicy::Abort);
         assert_eq!(aborting.migration.mode, MigrationMode::PreCopy);
     }

@@ -14,8 +14,6 @@
 //!   table in front of an inverse-CDF search.
 //! * [`CostMemo`] — a direct-mapped memo of per-length costs (service and
 //!   serialisation times), bit-identical to the formula it caches.
-//! * [`DropTailQueue`] — a bounded FIFO with drop accounting, used for every
-//!   ingress/device queue.
 //! * [`RateServer`] — a work-conserving FIFO server whose service times are
 //!   derived from throughput capacities; this is what turns the paper's
 //!   "resource utilisation grows linearly with throughput" assumption into
@@ -39,7 +37,7 @@
 //! * [`ShardPlan`] — conservative-lookahead shard planning for parallel
 //!   simulation: partitions nodes into groups no sub-barrier channel
 //!   crosses, so a windowed runner can execute groups on worker threads and
-//!   stay event-for-event identical to the sequential run (`pam-fleet`'s
+//!   stay event-for-event identical at any lane count (`pam-fleet`'s
 //!   `run_sharded` is the consumer).
 
 #![forbid(unsafe_code)]
@@ -57,7 +55,6 @@ pub mod events;
 pub mod fault;
 pub mod link;
 pub mod memo;
-pub mod queue;
 pub mod reorder;
 pub mod rng;
 pub mod server;
@@ -71,7 +68,6 @@ pub use link::{
     LinkDirection, PcieLink, PcieLinkConfig, PcieLinkStats, TransferStatus, TransferToken,
 };
 pub use memo::CostMemo;
-pub use queue::{DropTailQueue, QueueStats};
 pub use reorder::ReorderBuffer;
 pub use rng::{GuidedCdf, SimRng};
 pub use server::{RateServer, ServerStats};

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
+use pam_types::{ByteSize, Gbps, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A monotone event counter.
@@ -170,16 +170,6 @@ impl TimeSeries {
     }
 }
 
-/// Helper: the duration-weighted mean of a set of `(duration, value)` pairs,
-/// used when aggregating per-phase measurements into one figure.
-pub fn weighted_mean(pairs: &[(SimDuration, f64)]) -> f64 {
-    let total: f64 = pairs.iter().map(|(d, _)| d.as_secs_f64()).sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    pairs.iter().map(|(d, v)| d.as_secs_f64() * v).sum::<f64>() / total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,15 +266,5 @@ mod tests {
         assert_eq!(ts.mean(), 0.0);
         assert_eq!(ts.max(), 0.0);
         assert_eq!(ts.last(), None);
-    }
-
-    #[test]
-    fn weighted_mean_weights_by_duration() {
-        let pairs = [
-            (SimDuration::from_millis(10), 100.0),
-            (SimDuration::from_millis(30), 200.0),
-        ];
-        assert!((weighted_mean(&pairs) - 175.0).abs() < 1e-9);
-        assert_eq!(weighted_mean(&[]), 0.0);
     }
 }

@@ -15,7 +15,8 @@
 //! * [`TrafficSchedule`] — piecewise-constant offered load over time, used to
 //!   create the traffic fluctuation that overloads the SmartNIC mid-run.
 //! * [`TraceSynthesizer`] — combines the above into a deterministic stream of
-//!   [`pam_nf::Packet`]s with ingress timestamps.
+//!   [`pam_nf::Packet`]s with ingress timestamps, or of [`PacketDraw`]s that
+//!   build their frame on demand.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -37,4 +38,4 @@ pub use arrival::ArrivalProcess;
 pub use flows::{FlowGenerator, FlowGeneratorConfig};
 pub use schedule::{Phase, TrafficSchedule};
 pub use size::PacketSizeProfile;
-pub use trace::{TraceConfig, TraceSynthesizer};
+pub use trace::{PacketDraw, TraceConfig, TraceSynthesizer};

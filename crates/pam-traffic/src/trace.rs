@@ -2,8 +2,8 @@
 
 use pam_nf::Packet;
 use pam_sim::SimRng;
-use pam_types::{Gbps, SimDuration, SimTime};
-use pam_wire::{PacketBuilder, TransportKind};
+use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
+use pam_wire::{FiveTuple, PacketBuilder, TransportKind};
 use serde::{Deserialize, Serialize};
 
 use crate::arrival::ArrivalProcess;
@@ -43,6 +43,39 @@ impl TraceConfig {
 /// The default seed used by evaluation traces (the conference date of the
 /// poster, so reproduction runs are recognisably deterministic).
 pub const DEFAULT_TRACE_SEED: u64 = 20180820;
+
+/// Everything the trace drew for one packet, before its frame is built.
+///
+/// A draw is a few dozen bytes where the frame it describes is up to 1.5 KB,
+/// so a consumer that holds packets before submitting them (the fleet's
+/// windowed runner parks a whole window of arrivals) keeps draws and builds
+/// each frame only when it is needed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketDraw {
+    /// The packet id (its index in the trace).
+    pub id: u64,
+    /// The flow the packet belongs to.
+    pub tuple: FiveTuple,
+    /// The transport header the frame carries.
+    pub transport: TransportKind,
+    /// The on-wire frame length: the drawn size raised to the header stack,
+    /// exactly as [`PacketBuilder::build`] pads it.
+    pub size: ByteSize,
+    /// When the packet is sent.
+    pub send_time: SimTime,
+}
+
+impl PacketDraw {
+    /// Builds the frame the draw describes.
+    pub fn build(&self) -> Packet {
+        let bytes = PacketBuilder::new()
+            .five_tuple(self.tuple)
+            .transport(self.transport)
+            .size(self.size)
+            .build();
+        Packet::from_bytes(self.id, bytes, self.send_time)
+    }
+}
 
 /// A generator of timestamped packets following a [`TraceConfig`].
 #[derive(Debug)]
@@ -87,6 +120,15 @@ impl TraceSynthesizer {
 
     /// Produces the next packet, or `None` when the schedule has ended.
     pub fn next_packet(&mut self) -> Option<(SimTime, Packet)> {
+        let (send_time, draw) = self.next_draw()?;
+        Some((send_time, draw.build()))
+    }
+
+    /// Draws the next packet without building its frame, or `None` when the
+    /// schedule has ended. Makes the same random draws in the same order as
+    /// [`TraceSynthesizer::next_packet`], which is this followed by
+    /// [`PacketDraw::build`].
+    pub fn next_draw(&mut self) -> Option<(SimTime, PacketDraw)> {
         // Find the offered load at the current send time, skipping over any
         // zero-load gaps (there are none in the provided schedules, but a
         // custom schedule may include quiet phases).
@@ -102,23 +144,22 @@ impl TraceSynthesizer {
             pam_wire::IpProtocol::Tcp => TransportKind::Tcp,
             _ => TransportKind::Udp,
         };
-        let bytes = PacketBuilder::new()
-            .five_tuple(tuple)
-            .transport(transport)
-            .size(size)
-            .build();
+        let header_stack = PacketBuilder::new().transport(transport).header_overhead();
         let send_time = self.next_time;
-        let packet = Packet::from_bytes(self.next_id, bytes, send_time);
+        let draw = PacketDraw {
+            id: self.next_id,
+            tuple,
+            transport,
+            size: size.max(ByteSize::bytes(header_stack as u64)),
+            send_time,
+        };
         self.next_id += 1;
-        self.emitted_bytes += packet.size().as_bytes();
+        self.emitted_bytes += draw.size.as_bytes();
 
-        let gap = self
-            .config
-            .arrival
-            .next_gap(load, packet.size(), &mut self.rng);
+        let gap = self.config.arrival.next_gap(load, draw.size, &mut self.rng);
         // Guard against zero gaps (degenerate loads) so time always advances.
         self.next_time = send_time + gap.max(SimDuration::from_nanos(1));
-        Some((send_time, packet))
+        Some((send_time, draw))
     }
 
     /// Collects the entire trace into a vector (convenient for tests and for
@@ -248,6 +289,73 @@ mod tests {
         assert_eq!(synth.emitted_bytes(), count * 512);
         assert!((synth.offered_throughput().as_gbps() - 1.0).abs() < 0.05);
         assert_eq!(synth.config().seed, 5);
+    }
+
+    /// `next_packet` as it was before draws existed, building the frame from
+    /// the unpadded drawn size and pacing on the built frame's length: the
+    /// reference `next_draw` followed by `build` must reproduce.
+    fn next_packet_reference(synth: &mut TraceSynthesizer) -> Option<(SimTime, Packet)> {
+        let mut load = synth.config.schedule.load_at(synth.next_time);
+        while load.as_gbps() <= 0.0 {
+            synth.next_time = synth.config.schedule.phase_end_after(synth.next_time)?;
+            load = synth.config.schedule.load_at(synth.next_time);
+        }
+        let size = synth.config.sizes.sample(&mut synth.rng);
+        let tuple = synth.flow_gen.sample(&mut synth.rng);
+        let transport = match tuple.protocol {
+            pam_wire::IpProtocol::Tcp => TransportKind::Tcp,
+            _ => TransportKind::Udp,
+        };
+        let bytes = PacketBuilder::new()
+            .five_tuple(tuple)
+            .transport(transport)
+            .size(size)
+            .build();
+        let send_time = synth.next_time;
+        let packet = Packet::from_bytes(synth.next_id, bytes, send_time);
+        synth.next_id += 1;
+        synth.emitted_bytes += packet.size().as_bytes();
+        let gap = synth
+            .config
+            .arrival
+            .next_gap(load, packet.size(), &mut synth.rng);
+        synth.next_time = send_time + gap.max(SimDuration::from_nanos(1));
+        Some((send_time, packet))
+    }
+
+    #[test]
+    fn draws_built_later_equal_the_packets_built_at_once() {
+        // The paper sweep, IMIX, and a fixed size below even the UDP header
+        // stack (every frame is padded up to its transport's minimum).
+        for sizes in [
+            PacketSizeProfile::paper_sweep(),
+            PacketSizeProfile::Imix,
+            PacketSizeProfile::Fixed(ByteSize::bytes(20)),
+        ] {
+            let cfg = TraceConfig {
+                sizes,
+                ..config(1.0, 1, 9)
+            };
+            let mut packets = TraceSynthesizer::new(cfg.clone());
+            let mut draws = TraceSynthesizer::new(cfg);
+            let mut count = 0;
+            while let Some((at, packet)) = next_packet_reference(&mut packets) {
+                let (drawn_at, draw) = draws.next_draw().expect("same trace length");
+                let built = draw.build();
+                assert_eq!(drawn_at, at);
+                assert_eq!(draw.send_time, at);
+                assert_eq!(draw.size, packet.size());
+                assert_eq!(Some(draw.tuple), packet.five_tuple());
+                assert_eq!(built.id, packet.id);
+                assert_eq!(built.ingress_time, packet.ingress_time);
+                assert_eq!(built.bytes(), packet.bytes());
+                assert_eq!(draws.emitted_bytes(), packets.emitted_bytes());
+                count += 1;
+            }
+            assert!(count > 0);
+            assert!(draws.next_draw().is_none(), "same trace length");
+            assert_eq!(draws.emitted_packets(), packets.emitted_packets());
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!    injected count (arrivals are seeded and fault-independent: each one is
 //!    either submitted or black-holed, never silently gone and never
 //!    double-counted);
-//! 2. **sharded byte-identity under faults** — the faulted run's report is
-//!    byte-identical whether the fleet ran sequentially or sharded (fault
-//!    events are window barriers in the sharded runner);
+//! 2. **lane-count byte-identity under faults** — the faulted run's report
+//!    is byte-identical whether the fleet ran on one lane or several (fault
+//!    events are window barriers);
 //! 3. **replay determinism** — the same `(scenario, plan)` pair replays to
 //!    byte-identical JSON.
 //!
@@ -55,21 +55,16 @@ fn plan_for(scenario: &FleetScenario, fault_seed: u64) -> FaultPlan {
     plan
 }
 
-/// Runs `scenario` under `plan` to the drained horizon on `shards` lanes
-/// (0 = the sequential runner) and returns the report.
-fn faulted_run(scenario: &FleetScenario, plan: &FaultPlan, shards: usize) -> FleetReport {
+/// Runs `scenario` under `plan` to the drained horizon on `lanes` lanes and
+/// returns the report.
+fn faulted_run(scenario: &FleetScenario, plan: &FaultPlan, lanes: usize) -> FleetReport {
     let mut fleet = scenario
         .build_fleet(StrategyKind::Pam)
         .expect("scenario builds");
     fleet
         .set_fault_plan(plan.clone())
         .expect("generated plans install");
-    let horizon = scenario.horizon() + DRAIN;
-    if shards == 0 {
-        fleet.run(horizon);
-    } else {
-        fleet.run_sharded(horizon, shards);
-    }
+    fleet.run_sharded(scenario.horizon() + DRAIN, lanes);
     fleet.report()
 }
 
@@ -115,18 +110,18 @@ fn check_case(kind_index: usize, servers: usize, seed: u64, fault_seed: u64, sha
         scenario.kind,
         plan.len()
     );
-    let sequential = faulted_run(&scenario, &plan, 0);
-    assert_conservation(&scenario, &sequential, &context);
-    let sequential_json = serde_json::to_string(&sequential).expect("report serializes");
+    let one_lane = faulted_run(&scenario, &plan, 1);
+    assert_conservation(&scenario, &one_lane, &context);
+    let one_lane_json = serde_json::to_string(&one_lane).expect("report serializes");
     let sharded = faulted_run(&scenario, &plan, shards);
     assert_eq!(
-        sequential_json,
+        one_lane_json,
         serde_json::to_string(&sharded).expect("report serializes"),
-        "{context}: sharded faulted run diverged from sequential"
+        "{context}: {shards}-lane faulted run diverged from the one-lane run"
     );
-    let replay = faulted_run(&scenario, &plan, 0);
+    let replay = faulted_run(&scenario, &plan, 1);
     assert_eq!(
-        sequential_json,
+        one_lane_json,
         serde_json::to_string(&replay).expect("report serializes"),
         "{context}: identical faulted runs diverged"
     );
@@ -172,6 +167,6 @@ fn unrecovered_crashes_still_conserve() {
             .filter(|event| !matches!(event.kind, FaultKind::ServerRecover { .. }))
             .collect(),
     );
-    let report = faulted_run(&scenario, &crash_only, 0);
+    let report = faulted_run(&scenario, &crash_only, 1);
     assert_conservation(&scenario, &report, "crash-only");
 }

@@ -59,22 +59,22 @@ fn every_scenario_replays_byte_identically_with_a_batched_datapath() {
 #[test]
 fn batched_pre_copy_runs_shard_byte_identically() {
     // The heavy configuration — pre-copy live migration on the coalesced
-    // batch=8 datapath — through the sharded runner: exactly the bytes the
-    // sequential run produces.
+    // batch=8 datapath — on two lanes: exactly the bytes the one-lane run
+    // produces.
     for kind in FleetScenarioKind::ALL {
         let scenario = FleetScenario::new(kind, 2).with_tuning(
             FleetTuning::default()
                 .with_mode(MigrationMode::PreCopy)
                 .with_batch(8),
         );
-        let sequential = scenario.run(StrategyKind::Pam).expect("scenario runs");
-        let sharded = scenario
-            .run_sharded(StrategyKind::Pam, 2)
-            .expect("sharded scenario runs");
+        let one_lane = scenario.run(StrategyKind::Pam).expect("scenario runs");
+        let (two_lanes, _, _) = scenario
+            .run_with_stats(StrategyKind::Pam, 2)
+            .expect("two-lane scenario runs");
         assert_eq!(
-            serde_json::to_string(&sequential).expect("report serializes"),
-            serde_json::to_string(&sharded).expect("report serializes"),
-            "{kind} diverged between the sequential and sharded runners"
+            serde_json::to_string(&one_lane).expect("report serializes"),
+            serde_json::to_string(&two_lanes).expect("report serializes"),
+            "{kind} diverged between one and two lanes"
         );
     }
 }
