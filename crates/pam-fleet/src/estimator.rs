@@ -294,15 +294,21 @@ impl Deserialize for EstimatorConfig {
 ///
 /// Per flow, one byte counter per window slot (epoch-stamped, recycled in
 /// place), so windowed queries are exact. Entries are never evicted — a
-/// flow seen once costs its slot ring forever — which is precisely the
+/// flow seen once costs its counters forever — which is precisely the
 /// O(distinct flows) memory the sketch variant exists to replace, and what
 /// [`LoadEstimator::resident_bytes`] makes visible in the ablation.
+///
+/// The counters of every flow live in one slab, `slots` per flow in
+/// first-arrival order (the order of `keys`), and the map holds only each
+/// flow's ordinal into it: a new flow costs no allocation of its own.
 #[derive(Debug, Clone)]
 struct ExactEstimator {
     ring: SlidingWindowEstimator,
-    /// flow -> per-slot `(epoch, bytes)` counters, `slots` entries each.
-    flows: FlowMap<Vec<(u64, u64)>>,
-    /// Insertion-ordered flow keys (the map has no ordered iteration).
+    /// flow -> ordinal: its counters are `slab[ordinal * slots..][..slots]`.
+    ordinals: FlowMap<u32>,
+    /// Per-slot `(epoch, bytes)` counters of every flow.
+    slab: Vec<(u64, u64)>,
+    /// Flow keys by ordinal (the map has no ordered iteration).
     keys: Vec<u64>,
     /// The current (in-progress) epoch; advanced once per control tick.
     epoch: u64,
@@ -314,7 +320,8 @@ impl ExactEstimator {
     fn new(window: SimDuration, slots: usize) -> Self {
         ExactEstimator {
             ring: SlidingWindowEstimator::new(window),
-            flows: FlowMap::new(),
+            ordinals: FlowMap::new(),
+            slab: Vec::new(),
             keys: Vec::new(),
             epoch: 0,
             slots: slots.max(1),
@@ -323,37 +330,53 @@ impl ExactEstimator {
 
     fn record_arrival(&mut self, flow: u64, bytes: u64) {
         let (epoch, slots) = (self.epoch, self.slots);
-        if let Some(ring) = self.flows.get_mut(flow) {
-            let slot = &mut ring[(epoch % slots as u64) as usize];
-            if slot.0 != epoch {
-                *slot = (epoch, 0);
+        let slot = (epoch % slots as u64) as usize;
+        if let Some(&ordinal) = self.ordinals.get(flow) {
+            let counter = &mut self.slab[ordinal as usize * slots + slot];
+            if counter.0 != epoch {
+                *counter = (epoch, 0);
             }
-            slot.1 += bytes;
+            counter.1 += bytes;
         } else {
-            let mut ring = vec![(0u64, 0u64); slots];
-            ring[(epoch % slots as u64) as usize] = (epoch, bytes);
-            self.flows.insert(flow, ring);
+            // Unreachable in practice: 2^32 flows' counters are 64 GB per slot.
+            assert!(
+                self.keys.len() <= u32::MAX as usize,
+                "ordinals cover 2^32 distinct flows"
+            );
+            let ordinal = self.keys.len() as u32;
+            let start = self.slab.len();
+            self.slab.resize(start + slots, (0, 0));
+            self.slab[start + slot] = (epoch, bytes);
+            self.ordinals.insert(flow, ordinal);
             self.keys.push(flow);
         }
     }
 
-    /// The flow's exact byte count across the window's live epochs.
-    fn windowed_bytes(&self, flow: u64) -> u64 {
-        let Some(ring) = self.flows.get(flow) else {
-            return 0;
-        };
-        ring.iter()
+    /// Bytes in one flow's counters across the window's live epochs.
+    fn live_bytes(&self, counters: &[(u64, u64)]) -> u64 {
+        counters
+            .iter()
             .filter(|(epoch, _)| epoch + self.slots as u64 > self.epoch)
             .map(|(_, bytes)| bytes)
             .sum()
+    }
+
+    /// The flow's exact byte count across the window's live epochs.
+    fn windowed_bytes(&self, flow: u64) -> u64 {
+        let Some(&ordinal) = self.ordinals.get(flow) else {
+            return 0;
+        };
+        let start = ordinal as usize * self.slots;
+        self.live_bytes(&self.slab[start..start + self.slots])
     }
 
     fn heavy_hitters(&self, k: usize) -> Vec<(u64, u64)> {
         let mut scored: Vec<(u64, u64)> = self
             .keys
             .iter()
-            .filter_map(|&flow| {
-                let bytes = self.windowed_bytes(flow);
+            .zip(self.slab.chunks_exact(self.slots))
+            .filter_map(|(&flow, counters)| {
+                let bytes = self.live_bytes(counters);
                 (bytes > 0).then_some((flow, bytes))
             })
             .collect();
@@ -362,14 +385,12 @@ impl ExactEstimator {
         scored
     }
 
+    /// Heap bytes held: the counter slab, the ordinal map's slot array, the
+    /// key list and the tick ring, each at its allocated capacity.
     fn resident_bytes(&self) -> usize {
-        // The open-addressed table (slot array) plus each entry's heap slot
-        // ring plus the ordered key list.
-        let table = (self.flows.len() * 8).max(16) / 7
-            * std::mem::size_of::<Option<(u64, Vec<(u64, u64)>)>>();
-        let rings = self.flows.len() * self.slots * std::mem::size_of::<(u64, u64)>();
+        let slab = self.slab.capacity() * std::mem::size_of::<(u64, u64)>();
         let keys = self.keys.capacity() * std::mem::size_of::<u64>();
-        table + rings + keys + self.ring.resident_bytes()
+        slab + self.ordinals.resident_bytes() + keys + self.ring.resident_bytes()
     }
 }
 
@@ -726,15 +747,35 @@ mod tests {
             exact.record_arrival(flow, 64);
             sketch.record_arrival(flow, 64);
         }
+        // window/interval = 3 -> 4 slots of 16-byte counters per flow.
         assert!(
-            exact.resident_bytes() > 50_000 * 32,
-            "exact pays per distinct flow"
+            exact.resident_bytes() >= 50_000 * 4 * 16,
+            "exact pays every counter of every distinct flow"
         );
         assert!(
             sketch.resident_bytes() < sketch_before + 64 * 1024,
             "sketch stays near its fixed footprint"
         );
-        assert!(exact.resident_bytes() > 10 * sketch.resident_bytes());
+    }
+
+    #[test]
+    fn exact_slab_keeps_each_flows_counters_apart() {
+        let interval = SimDuration::from_micros(500);
+        let mut e = LoadEstimator::new(&config(EstimatorKind::Exact), interval);
+        // Interleave three flows across ticks so each reuses its own slots.
+        for tick in 0..6u64 {
+            for flow in [7, 8, 9] {
+                e.record_arrival(flow, flow * 100 + tick);
+            }
+            e.record(SimTime::from_micros((tick + 1) * 500), Gbps::new(1.0));
+        }
+        // 4 slots: after six sealed ticks, ticks 3..=5 are live (tick 6 is
+        // in progress and empty).
+        for flow in [7, 8, 9] {
+            let live: u64 = (3..6).map(|tick| flow * 100 + tick).sum();
+            assert_eq!(e.windowed_flow_bytes(flow), live, "flow {flow}");
+        }
+        assert_eq!(e.heavy_hitters(3), vec![(9, 2712), (8, 2412), (7, 2112)]);
     }
 
     #[test]

@@ -71,6 +71,12 @@ impl<V> FlowMap<V> {
         self.len == 0
     }
 
+    /// Heap bytes held by the slot array (entries are stored inline, so
+    /// this is everything the map itself allocates).
+    pub fn resident_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<(u64, V)>>()
+    }
+
     #[inline]
     fn home(&self, key: u64) -> usize {
         (spread(key) >> self.shift) as usize

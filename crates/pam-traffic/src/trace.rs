@@ -242,8 +242,7 @@ mod tests {
     #[test]
     fn packets_parse_and_belong_to_the_flow_pool() {
         let synth = TraceSynthesizer::new(config(1.0, 1, 3));
-        let flow_pool: std::collections::HashSet<_> =
-            synth.flow_gen.flows().iter().copied().collect();
+        let flow_pool: std::collections::HashSet<_> = synth.flow_gen.flows().collect();
         let packets = synth.collect_all();
         for (_, packet) in &packets {
             let tuple = packet.five_tuple().expect("generated packets parse");

@@ -44,22 +44,25 @@ fn splitmix(state: &mut u64) -> u64 {
 /// Drives one identical random trace into a fresh exact/sketch pair:
 /// `arrivals` flow arrivals with a skewed flow mix over `flow_count`
 /// distinct flows, with a control tick sealed every `per_tick` arrivals.
+/// Returns the pair and the number of distinct flows that arrived.
 fn differential_run(
     seed: u64,
     flow_count: u64,
     arrivals: usize,
     per_tick: usize,
-) -> (LoadEstimator, LoadEstimator) {
+) -> (LoadEstimator, LoadEstimator, usize) {
     let config = |kind| EstimatorConfig::of(kind).with_window(SimDuration::from_micros(1_500));
     let mut exact = LoadEstimator::new(&config(EstimatorKind::Exact), INTERVAL);
     let mut sketch = LoadEstimator::new(&config(EstimatorKind::Sketch), INTERVAL);
     let mut state = seed;
     let mut tick = 0u64;
+    let mut seen = std::collections::HashSet::new();
     for i in 0..arrivals {
         // min() of two draws skews the mix toward low flow ids, so the
         // trace has genuine heavy hitters instead of uniform noise.
         let flow = (splitmix(&mut state) % flow_count).min(splitmix(&mut state) % flow_count);
         let bytes = 64 + splitmix(&mut state) % 1_436;
+        seen.insert(flow);
         exact.record_arrival(flow, bytes);
         sketch.record_arrival(flow, bytes);
         if (i + 1) % per_tick == 0 {
@@ -74,7 +77,7 @@ fn differential_run(
             assert_eq!(exact.latest(), sketch.latest(), "tick {tick}");
         }
     }
-    (exact, sketch)
+    (exact, sketch, seen.len())
 }
 
 /// Asserts properties 1 and 2 on a finished run.
@@ -125,7 +128,7 @@ proptest! {
         arrivals in 512usize..4_096,
         per_tick in 64usize..1_024,
     ) {
-        let (exact, sketch) = differential_run(seed, flow_count, arrivals, per_tick);
+        let (exact, sketch, _) = differential_run(seed, flow_count, arrivals, per_tick);
         assert_differential(
             &exact,
             &sketch,
@@ -138,7 +141,7 @@ proptest! {
 /// Deterministic smoke case of the same properties (tier-1 path).
 #[test]
 fn sketch_differential_smoke() {
-    let (exact, sketch) = differential_run(2018, 97, 2_000, 400);
+    let (exact, sketch, _) = differential_run(2018, 97, 2_000, 400);
     assert_differential(&exact, &sketch, 97, "smoke");
 }
 
@@ -147,14 +150,19 @@ fn sketch_differential_smoke() {
 /// 1M-flow flash-crowd cell runs in.
 #[test]
 fn sketch_smoke_survives_a_wide_uniform_flood() {
-    let (exact, sketch) = differential_run(7, 50_000, 4_096, 512);
+    let (exact, sketch, distinct) = differential_run(7, 50_000, 4_096, 512);
     assert_differential(&exact, &sketch, 50_000, "flood");
+    // The exact table pays every window slot of every distinct flow: four
+    // slots (window / interval + 1) of a 16-byte `(epoch, bytes)` counter.
     assert!(
-        exact.resident_bytes() > 10 * sketch.resident_bytes(),
-        "exact {} B !> 10x sketch {} B",
-        exact.resident_bytes(),
-        sketch.resident_bytes()
+        exact.resident_bytes() >= distinct * 4 * 16,
+        "exact {} B < {distinct} flows x 4 slots x 16 B",
+        exact.resident_bytes()
     );
+    // The sketch pays nothing per flow: a ten times wider, ten times longer
+    // flood leaves its footprint where it was.
+    let (_, wide, _) = differential_run(7, 500_000, 40_960, 512);
+    assert_eq!(wide.resident_bytes(), sketch.resident_bytes());
 }
 
 /// The compatibility half of the API redesign: leaving the estimator knob
