@@ -1,7 +1,10 @@
-//! Benchmark crate: every Criterion target under `benches/` regenerates one
-//! of the paper's tables or figures (printing the reproduced rows as part of
-//! its output) and then measures the relevant code path. See `DESIGN.md`
-//! section 4 for the experiment index.
+//! Benchmark crate: the Criterion targets under `benches/` time the code
+//! paths the perf ledger in `bench/` does not yet cover — live-migration
+//! cost (A4), the PCIe crossing-latency sweep (A3) and wire parsing with
+//! per-packet vNF work. Each ablation target prints its reproduced rows
+//! before timing. Every other host-time measurement of the simulator lives
+//! in the ledger; the experiment index is the `pam-experiments` crate
+//! documentation.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -13,26 +13,13 @@
 //!                                           # threads (default: available
 //!                                           # parallelism); the JSON is
 //!                                           # byte-identical at any N
-//! fleet_bench --timings timings.json        # write per-cell wall-clock and
-//!                                           # events/sec to a separate JSON
-//!                                           # (kept out of the main output
-//!                                           # so it stays deterministic)
 //! fleet_bench --summary summary.md          # write a markdown summary
-//!                                           # (gate table + simulator
-//!                                           # throughput + datapath sweep) —
-//!                                           # CI appends it to
-//!                                           # $GITHUB_STEP_SUMMARY
+//!                                           # (gate table + requested
+//!                                           # ablation tables) — CI appends
+//!                                           # it to $GITHUB_STEP_SUMMARY
 //! fleet_bench --shards 4                    # run every matrix cell's fleet
 //!                                           # on N lanes (default 1); the
 //!                                           # JSON is byte-identical at any N
-//! fleet_bench --scale 64,128                # also run the scaling curve at
-//!                                           # these fleet sizes ...
-//! fleet_bench --scale-shards 1,2,4          # ... across these shard counts
-//!                                           # (default 1,2,4); points land in
-//!                                           # --timings and --summary
-//! fleet_bench --scale-only                  # skip the matrix and the gate,
-//!                                           # run only the scaling curve
-//!                                           # and/or requested ablations
 //! fleet_bench --link-models                 # also run the link-model
 //!                                           # ablation (FIFO-fixed vs
 //!                                           # fair-share contention under
@@ -45,7 +32,8 @@
 //!                                           # --summary and on stderr
 //! fleet_bench --estimator-flows 1000000     # flow population per server of
 //!                                           # the estimator ablation
-//!                                           # (default 100000)
+//!                                           # (default 100000; needs
+//!                                           # --estimators)
 //! fleet_bench --faults                      # also run the failure scenarios
 //!                                           # (crash mid-pre-copy, link-flap
 //!                                           # storm, correlated overload
@@ -63,9 +51,8 @@
 //! Every run uses fixed seeds (see `pam_experiments::fleet`), so two runs of
 //! the same build produce byte-identical JSON and the baseline comparison is
 //! meaningful: metrics moving past the tolerance band are real changes in
-//! the algorithms or the simulator, not noise. (The wall-clock column of the
-//! `--summary` throughput sweep is the one machine-dependent number; it is
-//! reported for reading, never gated.)
+//! the algorithms or the simulator, not noise. The tool reads no clock: the
+//! simulator's own cost is measured by the perf ledger in `bench/`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -78,14 +65,11 @@
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use pam_core::StrategyKind;
 use pam_experiments::faults::{run_fault_scenarios, FaultCell};
 use pam_experiments::fleet::{
-    run_estimator_ablation, run_fleet_matrix_opts, run_link_model_ablation, run_scale_curve,
-    EstimatorCell, FleetBenchEntry, FleetBenchOutput, FleetScenario, FleetScenarioKind,
-    FleetTuning, LinkModelCell, MatrixTimings, ScalePoint, SCALE_CURVE_SCENARIO,
+    run_estimator_ablation, run_fleet_matrix, run_link_model_ablation, EstimatorCell,
+    FleetBenchEntry, FleetBenchOutput, LinkModelCell,
 };
 
 /// Relative tolerance band the gate allows before calling a change a
@@ -97,21 +81,21 @@ const DEFAULT_TOLERANCE: f64 = 0.25;
 /// fail on a handful of new ones.
 const COUNT_SLACK: f64 = 64.0;
 
+/// Flow population per server of the estimator ablation when
+/// `--estimator-flows` is not given.
+const DEFAULT_ESTIMATOR_FLOWS: usize = 100_000;
+
 struct Args {
     out: Option<String>,
     check: Option<String>,
     summary: Option<String>,
-    timings: Option<String>,
     tolerance: f64,
     servers: usize,
     jobs: usize,
     shards: usize,
-    scale: Vec<usize>,
-    scale_shards: Vec<usize>,
-    scale_only: bool,
     link_models: bool,
     estimators: bool,
-    estimator_flows: usize,
+    estimator_flows: Option<usize>,
     faults: bool,
     faults_out: Option<String>,
 }
@@ -123,40 +107,18 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses a comma-separated list of positive integers (`64,128,256`).
-fn parse_list(name: &str, raw: &str) -> Result<Vec<usize>, String> {
-    raw.split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<usize>()
-                .map_err(|e| format!("{name}: `{part}`: {e}"))
-                .and_then(|n| {
-                    if n == 0 {
-                        Err(format!("{name}: entries must be positive"))
-                    } else {
-                        Ok(n)
-                    }
-                })
-        })
-        .collect()
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         out: None,
         check: None,
         summary: None,
-        timings: None,
         tolerance: DEFAULT_TOLERANCE,
         servers: 4,
         jobs: default_jobs(),
         shards: 1,
-        scale: Vec::new(),
-        scale_shards: vec![1, 2, 4],
-        scale_only: false,
         link_models: false,
         estimators: false,
-        estimator_flows: 100_000,
+        estimator_flows: None,
         faults: false,
         faults_out: None,
     };
@@ -167,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--summary" => args.summary = Some(value("--summary")?),
-            "--timings" => args.timings = Some(value("--timings")?),
             "--jobs" => {
                 args.jobs = value("--jobs")?
                     .parse::<usize>()
@@ -180,20 +141,17 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--shards: {e}"))?
                     .max(1)
             }
-            "--scale" => args.scale = parse_list("--scale", &value("--scale")?)?,
-            "--scale-shards" => {
-                args.scale_shards = parse_list("--scale-shards", &value("--scale-shards")?)?
-            }
-            "--scale-only" => args.scale_only = true,
             "--link-models" => args.link_models = true,
             "--estimators" => args.estimators = true,
             "--faults" => args.faults = true,
             "--faults-out" => args.faults_out = Some(value("--faults-out")?),
             "--estimator-flows" => {
-                args.estimator_flows = value("--estimator-flows")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--estimator-flows: {e}"))?
-                    .max(1)
+                args.estimator_flows = Some(
+                    value("--estimator-flows")?
+                        .parse::<usize>()
+                        .map_err(|e| format!("--estimator-flows: {e}"))?
+                        .max(1),
+                )
             }
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
@@ -208,16 +166,19 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if args.scale_only
-        && args.scale.is_empty()
-        && !args.link_models
-        && !args.estimators
-        && !args.faults
-    {
-        return Err(
-            "--scale-only needs --scale (or an ablation: --link-models / --estimators / --faults)"
-                .to_string(),
-        );
+    // Every comparison with NaN is false, so a NaN band would pass any
+    // regression; a negative band would fail every cell.
+    if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
+        return Err(format!(
+            "--tolerance must be a finite, non-negative number (got {})",
+            args.tolerance
+        ));
+    }
+    if args.servers == 0 {
+        return Err("--servers must be at least 1".to_string());
+    }
+    if args.estimator_flows.is_some() && !args.estimators {
+        return Err("--estimator-flows needs --estimators".to_string());
     }
     if args.faults_out.is_some() && !args.faults {
         return Err("--faults-out needs --faults".to_string());
@@ -363,42 +324,6 @@ fn run_gate(baseline: &FleetBenchOutput, current: &FleetBenchOutput, tolerance: 
     }
 }
 
-/// One point of the datapath-throughput sweep: the rolling-hotspot scenario
-/// under PAM at one batch size, with the harness wall-clock alongside the
-/// (deterministic) simulation metrics.
-struct ThroughputPoint {
-    batch: u32,
-    wall_secs: f64,
-    injected: u64,
-    delivered: u64,
-    p99_us: f64,
-}
-
-/// Runs the rolling-hotspot scenario across batch sizes, timing each run.
-/// The simulation metrics are deterministic; only `wall_secs` depends on the
-/// machine (which is why the summary reports it but the gate ignores it).
-fn throughput_sweep(servers: usize) -> Vec<ThroughputPoint> {
-    [1u32, 2, 4, 8, 16]
-        .iter()
-        .map(|&batch| {
-            let scenario = FleetScenario::new(FleetScenarioKind::RollingHotspot, servers)
-                .with_tuning(FleetTuning::default().with_batch(batch));
-            let start = Instant::now();
-            let Ok(report) = scenario.run(StrategyKind::Pam) else {
-                unreachable!("the fixed rolling-hotspot scenario always runs");
-            };
-            let wall_secs = start.elapsed().as_secs_f64();
-            ThroughputPoint {
-                batch,
-                wall_secs,
-                injected: report.totals.injected,
-                delivered: report.totals.delivered,
-                p99_us: report.totals.p99_us,
-            }
-        })
-        .collect()
-}
-
 /// Renders the gate comparison as a markdown table (one row per cell). With
 /// no baseline the table still lists every cell, with its status marked
 /// `new`.
@@ -513,87 +438,6 @@ fn render_faults_markdown(cells: &[FaultCell]) -> String {
     md
 }
 
-/// Renders the simulator-throughput measurements (per-cell wall-clock and
-/// events/second, plus the matrix total) as a markdown table. Wall-clock
-/// numbers are machine-dependent: they are reported for reading, never
-/// gated, and never part of the deterministic benchmark JSON.
-fn render_simulator_throughput_markdown(timings: &MatrixTimings) -> String {
-    let mut md = String::new();
-    let _ = writeln!(
-        md,
-        "## Simulator throughput — {} cells on {} thread(s), {:.0} ms total\n",
-        timings.cells.len(),
-        timings.jobs,
-        timings.total_wall_ms
-    );
-    let _ = writeln!(
-        md,
-        "{} simulated events in total — {:.2}M events/s aggregate. Slowest cells:",
-        timings.total_events,
-        timings.total_events as f64 / timings.total_wall_ms / 1e3,
-    );
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "| scenario | strategy | mode | batch | wall ms | events | events/s |"
-    );
-    let _ = writeln!(md, "|---|---|---|---:|---:|---:|---:|");
-    let mut slowest: Vec<&pam_experiments::fleet::CellTiming> = timings.cells.iter().collect();
-    slowest.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms));
-    for cell in slowest.into_iter().take(8) {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {} | {:.1} | {} | {:.0} |",
-            cell.scenario,
-            cell.strategy,
-            cell.migration_mode,
-            cell.batch,
-            cell.wall_ms,
-            cell.events,
-            cell.events_per_sec
-        );
-    }
-    md
-}
-
-/// Renders the sharded scaling curve as a markdown table. Every point was
-/// byte-compared against the one-lane run inside `run_scale_curve`, so a
-/// row in this table is also a determinism witness; `speedup` is wall-clock
-/// (machine-dependent, reported for reading, never gated).
-fn render_scale_markdown(points: &[ScalePoint]) -> String {
-    let mut md = String::new();
-    let _ = writeln!(
-        md,
-        "## Sharded scaling curve — {} under PAM, byte-identical at every point\n",
-        SCALE_CURVE_SCENARIO.name()
-    );
-    let _ = writeln!(
-        md,
-        "| servers | shards | wall ms | events | events/s | speedup | windows | max barrier wait ms |"
-    );
-    let _ = writeln!(md, "|---:|---:|---:|---:|---:|---:|---:|---:|");
-    for point in points {
-        let max_wait = point
-            .lanes
-            .iter()
-            .map(|l| l.barrier_wait_ms)
-            .fold(0.0f64, f64::max);
-        let _ = writeln!(
-            md,
-            "| {} | {} | {:.1} | {} | {:.0} | {:.2}x | {} | {:.1} |",
-            point.servers,
-            point.shards,
-            point.wall_ms,
-            point.events,
-            point.events_per_sec,
-            point.speedup,
-            point.windows,
-            max_wait
-        );
-    }
-    md
-}
-
 /// Renders the link-model ablation as a markdown table: for every
 /// (scenario, strategy) pair, the FIFO-fixed row is the committed-baseline
 /// behaviour and the fair-share row shows what contention with foreground
@@ -693,51 +537,6 @@ fn render_estimators_markdown(cells: &[EstimatorCell]) -> String {
     md
 }
 
-/// Renders the datapath-throughput sweep as a markdown table.
-fn render_throughput_markdown(points: &[ThroughputPoint]) -> String {
-    let mut md = String::new();
-    let _ = writeln!(
-        md,
-        "## Datapath throughput — rolling hotspot under PAM, by batch size\n"
-    );
-    let _ = writeln!(
-        md,
-        "Simulated packets per wall-clock second (machine-dependent, reported \
-         for reading only — the gate never compares it)."
-    );
-    let _ = writeln!(md);
-    let _ = writeln!(
-        md,
-        "| batch | wall ms | sim pkts/s | speedup | injected | delivered | p99 µs |"
-    );
-    let _ = writeln!(md, "|---:|---:|---:|---:|---:|---:|---:|");
-    let reference = points.first().map(|p| p.wall_secs).unwrap_or(0.0);
-    for point in points {
-        let pkts_per_sec = if point.wall_secs > 0.0 {
-            point.injected as f64 / point.wall_secs
-        } else {
-            0.0
-        };
-        let speedup = if point.wall_secs > 0.0 {
-            reference / point.wall_secs
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            md,
-            "| {} | {:.1} | {:.0} | {:.2}x | {} | {} | {:.1} |",
-            point.batch,
-            point.wall_secs * 1e3,
-            pkts_per_sec,
-            speedup,
-            point.injected,
-            point.delivered,
-            point.p99_us
-        );
-    }
-    md
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -745,72 +544,20 @@ fn main() -> ExitCode {
             eprintln!("fleet_bench: {e}");
             eprintln!(
                 "usage: fleet_bench [--out PATH] [--check BASELINE] [--summary PATH] \
-                 [--timings PATH] [--tolerance F] [--servers N] [--jobs N] [--shards N] \
-                 [--scale N,N,..] [--scale-shards N,N,..] [--scale-only] [--link-models] \
+                 [--tolerance F] [--servers N] [--jobs N] [--shards N] [--link-models] \
                  [--estimators] [--estimator-flows N] [--faults] [--faults-out PATH]"
             );
             return ExitCode::FAILURE;
         }
     };
 
-    let matrix = if args.scale_only {
-        None
-    } else {
-        match run_fleet_matrix_opts(args.servers, args.jobs, args.shards) {
-            Ok(pair) => Some(pair),
-            Err(e) => {
-                eprintln!("fleet_bench: matrix failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let output = match run_fleet_matrix(args.servers, args.jobs, args.shards) {
+        Ok(output) => output,
+        Err(e) => {
+            eprintln!("fleet_bench: matrix failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    let (output, mut timings) = match matrix {
-        Some((output, timings)) => {
-            eprintln!(
-                "fleet_bench: {} cells on {} thread(s) x {} shard(s) in {:.1} ms \
-                 ({:.2}M events/s aggregate)",
-                timings.cells.len(),
-                timings.jobs,
-                timings.shards,
-                timings.total_wall_ms,
-                timings.total_events as f64 / timings.total_wall_ms / 1e3,
-            );
-            (Some(output), timings)
-        }
-        None => (
-            None,
-            MatrixTimings {
-                jobs: args.jobs,
-                shards: args.shards,
-                total_wall_ms: 0.0,
-                total_events: 0,
-                cells: Vec::new(),
-                scale: Vec::new(),
-            },
-        ),
-    };
-
-    if !args.scale.is_empty() {
-        // Every multi-lane point is byte-compared against its one-lane
-        // reference inside `run_scale_curve`; divergence is a hard error.
-        timings.scale = match run_scale_curve(&args.scale, &args.scale_shards) {
-            Ok(points) => points,
-            Err(e) => {
-                eprintln!("fleet_bench: scale curve failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for point in &timings.scale {
-            eprintln!(
-                "fleet_bench: scale {} servers x {} shard(s): {:.1} ms, {:.2}M events/s, {:.2}x",
-                point.servers,
-                point.shards,
-                point.wall_ms,
-                point.events_per_sec / 1e6,
-                point.speedup
-            );
-        }
-    }
 
     let link_model_cells: Vec<LinkModelCell> = if args.link_models {
         match run_link_model_ablation(args.servers) {
@@ -841,7 +588,8 @@ fn main() -> ExitCode {
     };
 
     let estimator_cells: Vec<EstimatorCell> = if args.estimators {
-        match run_estimator_ablation(args.servers, args.estimator_flows) {
+        let flows = args.estimator_flows.unwrap_or(DEFAULT_ESTIMATOR_FLOWS);
+        match run_estimator_ablation(args.servers, flows) {
             Ok(cells) => {
                 for cell in &cells {
                     eprintln!(
@@ -912,35 +660,20 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &args.timings {
-        let json = match serde_json::to_string(&timings) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("fleet_bench: serializing timings: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("fleet_bench: writing timings {path}: {e}");
+    let json = match serde_json::to_string(&output) {
+        Ok(json) => json,
+        Err(e) => {
+            eprintln!("fleet_bench: serializing the report: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    if let Some(output) = &output {
-        let json = match serde_json::to_string(output) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("fleet_bench: serializing the report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(path) = &args.out {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("fleet_bench: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        } else {
-            println!("{json}");
+    };
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, &json) {
+            eprintln!("fleet_bench: writing {path}: {e}");
+            return ExitCode::FAILURE;
         }
+    } else {
+        println!("{json}");
     }
 
     let baseline: Option<FleetBenchOutput> = match &args.check {
@@ -962,31 +695,14 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let gate_ok = match (&baseline, &output) {
-        (Some(baseline), Some(output)) => run_gate(baseline, output, args.tolerance),
-        (Some(_), None) => {
-            eprintln!("fleet_bench: --check needs the matrix; drop --scale-only");
-            false
-        }
-        (None, _) => true,
+    let gate_ok = match &baseline {
+        Some(baseline) => run_gate(baseline, &output, args.tolerance),
+        None => true,
     };
 
     if let Some(path) = &args.summary {
-        let mut md = String::new();
-        if let Some(output) = &output {
-            md.push_str(&render_gate_markdown(
-                baseline.as_ref(),
-                output,
-                args.tolerance,
-            ));
-            md.push('\n');
-            md.push_str(&render_simulator_throughput_markdown(&timings));
-            md.push('\n');
-        }
-        if !timings.scale.is_empty() {
-            md.push_str(&render_scale_markdown(&timings.scale));
-            md.push('\n');
-        }
+        let mut md = render_gate_markdown(baseline.as_ref(), &output, args.tolerance);
+        md.push('\n');
         if !link_model_cells.is_empty() {
             md.push_str(&render_link_models_markdown(&link_model_cells));
             md.push('\n');
@@ -998,9 +714,6 @@ fn main() -> ExitCode {
         if !fault_cells.is_empty() {
             md.push_str(&render_faults_markdown(&fault_cells));
             md.push('\n');
-        }
-        if output.is_some() {
-            md.push_str(&render_throughput_markdown(&throughput_sweep(args.servers)));
         }
         if let Err(e) = std::fs::write(path, md) {
             eprintln!("fleet_bench: writing summary {path}: {e}");

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 
-/// Renders a table with a header row and aligned columns, in the style used
-/// throughout `EXPERIMENTS.md` and the bench output.
+/// Renders a table with a header row and aligned columns, in the style of
+/// every table `pam_repro` and the benches print.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

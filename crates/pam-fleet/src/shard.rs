@@ -49,10 +49,11 @@
 //! report is byte-identical.
 //!
 //! Wall-clock measurements ([`ShardRunStats`]) are a side channel for the
-//! benchmark harness and never enter the gated report; this module is the
-//! only simulation code allowed to touch `std::time::Instant` (enforced by
-//! `scripts/lint_determinism.sh`, which also pins scoped threads to this
-//! module and the experiment harness).
+//! perf ledger in `bench/` and never enter the gated report; this module is
+//! the only workspace code allowed to touch `std::time::Instant` outside
+//! `pam-bench` (enforced by `scripts/lint_determinism.sh`, which also pins
+//! scoped threads to this module and the experiment harness's matrix
+//! runner).
 //!
 //! [`ChainRuntime`]: pam_runtime::ChainRuntime
 
@@ -81,9 +82,10 @@ pub struct ShardLane {
     pub barrier_wait_ms: f64,
 }
 
-/// What the windowed runner did: a machine-dependent side channel for the
-/// benchmark harness's `--timings` output, never part of the gated report.
-/// A one-lane run ([`Fleet::run`]) records one lane.
+/// What the windowed runner did: a machine-dependent side channel, never
+/// part of the gated report. The perf ledger in `bench/` reads it through
+/// [`Fleet::shard_stats`] for its `shard.*` metrics (lane busy time, barrier
+/// wait, imbalance). A one-lane run ([`Fleet::run`]) records one lane.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardRunStats {
     /// The largest lane count any run requested.

@@ -8,9 +8,9 @@
 //!
 //! * `load_factor` — the fraction of chain traffic the vNF actually spends
 //!   capacity on (1.0 for per-packet functions; < 1 for a sampling logger).
-//!   This is the interpretation (documented in `DESIGN.md`) that makes the
-//!   poster's Figure 1(b) — "Monitor is the bottleneck" — consistent with
-//!   Table 1, where the Logger has the smallest raw capacity.
+//!   This is the interpretation that makes the poster's Figure 1(b) —
+//!   "Monitor is the bottleneck" — consistent with Table 1, where the
+//!   Logger has the smallest raw capacity.
 //! * `nic_latency` / `cpu_latency` — fixed per-packet pipeline latency on
 //!   each device (NPU pipeline vs. DPDK+virtualisation), which adds to chain
 //!   latency but does not consume throughput capacity.

@@ -6,6 +6,8 @@ use pam::core::StrategyKind;
 use pam::experiments::fleet::{FleetScenario, FleetScenarioKind, FleetTuning};
 use pam::runtime::MigrationMode;
 
+mod support;
+
 fn report_json(
     kind: FleetScenarioKind,
     strategy: StrategyKind,
@@ -68,12 +70,10 @@ fn batched_pre_copy_runs_shard_byte_identically() {
                 .with_batch(8),
         );
         let one_lane = scenario.run(StrategyKind::Pam).expect("scenario runs");
-        let (two_lanes, _, _) = scenario
-            .run_with_stats(StrategyKind::Pam, 2)
-            .expect("two-lane scenario runs");
+        let (two_lanes, _, _) = support::run_lanes(&scenario, StrategyKind::Pam, 2);
         assert_eq!(
             serde_json::to_string(&one_lane).expect("report serializes"),
-            serde_json::to_string(&two_lanes).expect("report serializes"),
+            two_lanes,
             "{kind} diverged between one and two lanes"
         );
     }

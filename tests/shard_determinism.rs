@@ -6,45 +6,48 @@
 //! per-event reference runner); this wall pins the product.
 
 use pam::core::StrategyKind;
-use pam::experiments::fleet::{run_scale_curve, FleetScenario, FleetScenarioKind};
+use pam::experiments::fleet::{FleetScenario, FleetScenarioKind};
 
-/// A run on `lanes` lanes: `(report JSON, events scheduled, lane packets)`.
-fn run_on(kind: FleetScenarioKind, servers: usize, lanes: usize) -> (String, u64, u64) {
-    let scenario = FleetScenario::new(kind, servers);
-    let (report, events, stats) = scenario
-        .run_with_stats(StrategyKind::Pam, lanes)
-        .expect("scenario runs");
-    let json = serde_json::to_string(&report).expect("report serializes");
-    let lane_packets = stats.lanes.iter().map(|lane| lane.packets).sum();
-    (json, events, lane_packets)
+mod support;
+use support::run_lanes;
+
+/// Runs the `kind` scenario under PAM at every fleet size of
+/// `server_counts`, on one lane and on each lane count of `lanes`: every
+/// N-lane run must reproduce the one-lane report JSON and event count, and
+/// its lanes must have submitted packets (the windowed path ran).
+fn assert_lane_independent(kind: FleetScenarioKind, server_counts: &[usize], lanes: &[usize]) {
+    for &servers in server_counts {
+        let scenario = FleetScenario::new(kind, servers);
+        let (one_json, one_events, _) = run_lanes(&scenario, StrategyKind::Pam, 1);
+        for &n in lanes {
+            let (json, events, lane_packets) = run_lanes(&scenario, StrategyKind::Pam, n);
+            // Not `assert_eq!`: a 256-server report is too long to print.
+            assert!(
+                json == one_json,
+                "{servers}-server {kind}: report diverged at {n} lanes"
+            );
+            assert_eq!(
+                events, one_events,
+                "{servers}-server {kind}: event count diverged at {n} lanes"
+            );
+            assert!(
+                lane_packets > 0,
+                "{servers}-server {kind}: {n} lanes submitted no packets"
+            );
+        }
+    }
 }
 
 #[test]
 fn every_scenario_is_byte_identical_under_sharding() {
     for kind in FleetScenarioKind::ALL {
-        let (one_json, one_events, _) = run_on(kind, 2, 1);
-        let (two_json, two_events, lane_packets) = run_on(kind, 2, 2);
-        assert_eq!(one_json, two_json, "{kind} report diverged at 2 lanes");
-        assert_eq!(
-            one_events, two_events,
-            "{kind} scheduled a different number of events on 2 lanes"
-        );
-        assert!(
-            lane_packets > 0,
-            "{kind} lanes submitted no packets — the windowed path did not run"
-        );
+        assert_lane_independent(kind, &[2], &[2]);
     }
 }
 
 #[test]
 fn the_shard_count_never_changes_the_report() {
-    let kind = FleetScenarioKind::RollingHotspot;
-    let (one_json, one_events, _) = run_on(kind, 3, 1);
-    for lanes in [2, 8] {
-        let (json, events, _) = run_on(kind, 3, lanes);
-        assert_eq!(one_json, json, "report diverged at {lanes} lanes");
-        assert_eq!(one_events, events, "event count diverged at {lanes} lanes");
-    }
+    assert_lane_independent(FleetScenarioKind::RollingHotspot, &[3], &[2, 8]);
 }
 
 #[test]
@@ -53,28 +56,27 @@ fn non_pam_strategies_shard_identically_too() {
     let one_lane = scenario
         .run(StrategyKind::NaiveBottleneck)
         .expect("one-lane run");
-    let (two_lanes, _, _) = scenario
-        .run_with_stats(StrategyKind::NaiveBottleneck, 2)
-        .expect("two-lane run");
+    let (two_lanes, _, _) = run_lanes(&scenario, StrategyKind::NaiveBottleneck, 2);
     assert_eq!(
         serde_json::to_string(&one_lane).expect("serializes"),
-        serde_json::to_string(&two_lanes).expect("serializes"),
+        two_lanes
     );
 }
 
+/// The fleet-scale determinism wall CI's `shard-determinism` job runs in
+/// release: 64 servers on 2 and 4 lanes against one lane. The diurnal
+/// wave's horizon does not depend on the fleet size, so events grow with
+/// servers, and its spill-free steady state leaves every server an
+/// independent lane group.
 #[test]
-fn the_scale_curve_carries_its_own_determinism_check() {
-    // `run_scale_curve` byte-compares every multi-lane point against the
-    // one-lane reference and errors on divergence, so a successful return
-    // IS the determinism assertion; the rest pins the curve's accounting.
-    let points = run_scale_curve(&[2], &[1, 2]).expect("curve runs and matches");
-    assert_eq!(points.len(), 2);
-    assert_eq!(points[0].shards, 1);
-    assert!((points[0].speedup - 1.0).abs() < f64::EPSILON);
-    assert_eq!(points[1].shards, 2);
-    assert_eq!(points[0].events, points[1].events);
-    for point in &points {
-        assert!(point.windows > 0);
-        assert_eq!(point.lanes.len(), point.shards);
-    }
+#[ignore = "fleet scale; run in release: cargo test --release --test shard_determinism -- --ignored"]
+fn diurnal_wave_64_servers_is_lane_independent() {
+    assert_lane_independent(FleetScenarioKind::DiurnalWave, &[64], &[2, 4]);
+}
+
+/// The nightly deep sweep: 128 and 256 servers on 2, 4 and 8 lanes.
+#[test]
+#[ignore = "fleet scale; run in release: cargo test --release --test shard_determinism -- --ignored"]
+fn diurnal_wave_128_and_256_servers_is_lane_independent() {
+    assert_lane_independent(FleetScenarioKind::DiurnalWave, &[128, 256], &[2, 4, 8]);
 }
