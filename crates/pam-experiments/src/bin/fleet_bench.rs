@@ -63,6 +63,7 @@
     clippy::mem_forget
 )]
 
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
@@ -484,14 +485,16 @@ fn render_link_models_markdown(cells: &[LinkModelCell]) -> String {
 /// the exact row is the committed-baseline estimator and the sketch row runs
 /// the same seeded flash crowd behind the sliding heavy-hitter sketch. Both
 /// feed the ladder from the same tick-sample window, so the decision columns
-/// must agree — the memory column is the win, and the footer states it.
+/// must agree; only the memory column differs. Exact memory follows the
+/// distinct flows of the live window, the sketch's is fixed, and the footer
+/// states which is smaller and by how much.
 fn render_estimators_markdown(cells: &[EstimatorCell]) -> String {
     let mut md = String::new();
     let flows = cells.first().map(|c| c.flows).unwrap_or(0);
     let _ = writeln!(
         md,
-        "## Estimator ablation — exact per-flow vs heavy-hitter sketch, \
-         flash crowd at {flows} flows/server\n"
+        "## Estimator ablation — exact live-window accounting vs heavy-hitter \
+         sketch, flash crowd at {flows} flows/server\n"
     );
     let _ = writeln!(
         md,
@@ -523,15 +526,17 @@ fn render_estimators_markdown(cells: &[EstimatorCell]) -> String {
         .filter(|c| c.estimator == "sketch")
         .map(|c| c.estimator_bytes)
         .sum();
-    if sketch > 0 {
+    if sketch > 0 && exact > 0 {
+        let comparison = match sketch.cmp(&exact) {
+            Ordering::Less => format!("{:.1}x less than", exact as f64 / sketch as f64),
+            Ordering::Greater => format!("{:.1}x more than", sketch as f64 / exact as f64),
+            Ordering::Equal => "the same as".to_owned(),
+        };
         let _ = writeln!(md);
         let _ = writeln!(
             md,
-            "Sketch estimator memory: {:.1}x less than exact ({} B vs {} B summed \
-             across cells) at identical control decisions.",
-            exact as f64 / sketch as f64,
-            sketch,
-            exact
+            "Sketch estimator memory: {comparison} exact ({sketch} B vs {exact} B summed \
+             across cells) at identical control decisions."
         );
     }
     md

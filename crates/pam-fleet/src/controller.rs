@@ -275,7 +275,14 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// Builds a fleet from one spec per server.
+    ///
+    /// Refuses an estimator config past the bounds of
+    /// [`EstimatorConfig::validate`] with [`PamError::InvalidConfig`], before
+    /// anything is allocated.
     pub fn new(specs: Vec<ServerSpec>, config: FleetConfig) -> Result<Self> {
+        config
+            .estimator
+            .validate(config.orchestrator.poll_interval)?;
         let mut servers = Vec::with_capacity(specs.len());
         for (index, spec) in specs.into_iter().enumerate() {
             let estimator =
@@ -1072,6 +1079,65 @@ mod tests {
             serde_json::to_string(&split.report()).unwrap(),
             "split runs replay identically"
         );
+    }
+
+    #[test]
+    fn hostile_estimator_configs_are_refused_before_allocating() {
+        let build = |estimator: EstimatorConfig, poll: SimDuration| {
+            let mut config =
+                FleetConfig::with_strategy(StrategyKind::Pam).with_estimator(estimator);
+            config.orchestrator.poll_interval = poll;
+            let schedule = TrafficSchedule::constant(Gbps::new(0.5), SimDuration::from_millis(5));
+            Fleet::new(vec![spec_with(schedule, 31)], config)
+        };
+        let poll = OrchestratorConfig::default().poll_interval;
+        for kind in crate::EstimatorKind::ALL {
+            let base = EstimatorConfig::of(kind);
+            let forever = base.with_window(SimDuration::from_nanos(u64::MAX));
+            for (estimator, poll) in [
+                // Millions of slots: a long window over a short poll.
+                (
+                    base.with_window(SimDuration::from_secs(10)),
+                    SimDuration::from_nanos(1),
+                ),
+                (forever, SimDuration::from_nanos(1)),
+                (forever, poll),
+                (
+                    EstimatorConfig {
+                        width: usize::MAX,
+                        ..base
+                    },
+                    poll,
+                ),
+                (
+                    EstimatorConfig {
+                        depth: usize::MAX,
+                        ..base
+                    },
+                    poll,
+                ),
+                (
+                    EstimatorConfig {
+                        top_k: usize::MAX,
+                        ..base
+                    },
+                    poll,
+                ),
+            ] {
+                match build(estimator, poll) {
+                    Err(PamError::InvalidConfig(_)) => {}
+                    other => panic!("{kind} {estimator:?}: {other:?}"),
+                }
+            }
+            // A u64-long poll interval leaves a single slot: accepted.
+            assert!(build(forever, SimDuration::from_nanos(u64::MAX)).is_ok());
+        }
+        // The slot bound itself builds (4 096 empty per-tick maps).
+        let slots = EstimatorConfig::MAX_SLOTS;
+        let widest = EstimatorConfig::default()
+            .with_window(SimDuration::from_nanos(poll.as_nanos() * (slots - 1)));
+        let fleet = build(widest, poll).expect("the bound is inclusive");
+        assert!(fleet.servers()[0].estimator().resident_bytes() < 4 << 20);
     }
 
     use pam_sim::{FaultEvent, FaultKind, FaultPlan};

@@ -13,16 +13,17 @@
 //! Two implementations sit behind the interface, selected by
 //! [`EstimatorKind`]:
 //!
-//! * **`Exact`** — the historical estimator: a ring of tick samples plus an
-//!   exact windowed byte counter per flow. Ground truth, O(distinct flows)
-//!   memory — the committed `BENCH_baseline.json` is pinned to its
-//!   decisions.
+//! * **`Exact`** — the historical estimator: a ring of tick samples plus,
+//!   per window slot, each flow's bytes in that tick. Ground truth in
+//!   O(live window) memory: a slot is cleared when its tick leaves the
+//!   window, so only the distinct flows of the live ticks are held — the
+//!   committed `BENCH_baseline.json` is pinned to its decisions.
 //! * **`Sketch`** — a Memento-style sliding count-min sketch (see
 //!   [`crate::sketch`]): the same tick-sample ring for mean/peak (so the
 //!   decision ladder sees identical windowed loads), but per-flow state
 //!   collapses to `slots x depth x width` counters with a documented
-//!   (epsilon, delta) overcount bound — O(1) in the flow count, which is
-//!   what makes million-flow fleets feasible.
+//!   (epsilon, delta) overcount bound — fixed at construction, whatever
+//!   the flow count or the window's population.
 //!
 //! The concrete types are private: the fleet records through
 //! [`LoadEstimator::record`]/[`LoadEstimator::record_arrival`] and queries
@@ -33,7 +34,7 @@
 use std::collections::VecDeque;
 
 use pam_nf::fastmap::FlowMap;
-use pam_types::{Gbps, SimDuration, SimTime};
+use pam_types::{Gbps, PamError, SimDuration, SimTime};
 use serde::value::{Map, Value};
 use serde::{Deserialize, Error, Serialize};
 
@@ -240,6 +241,62 @@ impl EstimatorConfig {
         self.window = window;
         self
     }
+
+    /// Most window slots (`window / interval + 1`): every estimator keeps
+    /// per-slot state, allocated up front by the sketch.
+    pub const MAX_SLOTS: u64 = 4_096;
+    /// Most count-min rows (`delta = e^-32` is already below 1e-13).
+    pub const MAX_DEPTH: usize = 32;
+    /// Most count-min counters per row (`epsilon = e / 2^20`).
+    pub const MAX_WIDTH: usize = 1 << 20;
+    /// Most tracked heavy hitters (the sketch keeps a small multiple of
+    /// `top_k` candidates, which must not overflow).
+    pub const MAX_TOP_K: usize = 1 << 16;
+    /// Most counters one sketch allocates (`slots x depth x width` after
+    /// the width is rounded up: 32 MiB of `u64`s).
+    pub const MAX_SKETCH_COUNTERS: u64 = 1 << 22;
+
+    /// Checks every size an estimator built from this config for a fleet
+    /// ticking every `interval` would allocate against its bound above.
+    /// Every kind is held to the slot, depth, width and top-k bounds, so a
+    /// config valid for one kind is valid for the other; only the sketch
+    /// allocates the counter product, so only it is held to that one.
+    pub fn validate(&self, interval: SimDuration) -> pam_types::Result<()> {
+        let slots = window_slots(self.window, interval);
+        if slots > Self::MAX_SLOTS {
+            return Err(over_bound("window slots", slots, Self::MAX_SLOTS));
+        }
+        let sizes = [
+            ("depth", self.depth, Self::MAX_DEPTH),
+            ("width", self.width, Self::MAX_WIDTH),
+            ("top_k", self.top_k, Self::MAX_TOP_K),
+        ];
+        for (what, value, bound) in sizes {
+            if value > bound {
+                return Err(over_bound(what, value as u64, bound as u64));
+            }
+        }
+        if self.kind == EstimatorKind::Sketch {
+            // Each factor is bounded above, so the product cannot overflow.
+            let width = self.width.max(2).next_power_of_two() as u64;
+            let counters = slots * self.depth.max(1) as u64 * width;
+            if counters > Self::MAX_SKETCH_COUNTERS {
+                return Err(over_bound(
+                    "sketch counters",
+                    counters,
+                    Self::MAX_SKETCH_COUNTERS,
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why an [`EstimatorConfig`] is refused: `what` is `value`, past `bound`.
+fn over_bound(what: &str, value: u64, bound: u64) -> PamError {
+    PamError::config(format!(
+        "estimator {what} is {value}, more than the bound of {bound}"
+    ))
 }
 
 // Every key is optional on the way in — a config written before the
@@ -292,105 +349,92 @@ impl Deserialize for EstimatorConfig {
 
 /// Exact windowed per-flow accounting: the ground-truth estimator.
 ///
-/// Per flow, one byte counter per window slot (epoch-stamped, recycled in
-/// place), so windowed queries are exact. Entries are never evicted — a
-/// flow seen once costs its counters forever — which is precisely the
-/// O(distinct flows) memory the sketch variant exists to replace, and what
-/// [`LoadEstimator::resident_bytes`] makes visible in the ablation.
-///
-/// The counters of every flow live in one slab, `slots` per flow in
-/// first-arrival order (the order of `keys`), and the map holds only each
-/// flow's ordinal into it: a new flow costs no allocation of its own.
+/// A ring of one `flow -> bytes` map per window slot: `ticks[epoch %
+/// slots]` holds what each flow sent in that tick. Sealing a tick clears
+/// the map the next tick reuses, whose epoch has just left the window, so
+/// every map in the ring is live and a windowed query sums them all. A flow
+/// that stops arriving is forgotten `slots` ticks later: memory is bounded
+/// by the distinct flows of the live window (each map keeps the capacity of
+/// the busiest tick it held), not by every flow seen since t = 0, and an
+/// arrival probes one small map.
 #[derive(Debug, Clone)]
 struct ExactEstimator {
     ring: SlidingWindowEstimator,
-    /// flow -> ordinal: its counters are `slab[ordinal * slots..][..slots]`.
-    ordinals: FlowMap<u32>,
-    /// Per-slot `(epoch, bytes)` counters of every flow.
-    slab: Vec<(u64, u64)>,
-    /// Flow keys by ordinal (the map has no ordered iteration).
-    keys: Vec<u64>,
-    /// The current (in-progress) epoch; advanced once per control tick.
-    epoch: u64,
-    /// Window slots: the in-progress epoch plus `slots - 1` sealed ones.
-    slots: usize,
+    /// Per-tick flow totals of the window's live epochs.
+    ticks: Vec<FlowMap<u64>>,
+    /// Index into `ticks` of the current (in-progress) epoch.
+    current: usize,
 }
 
 impl ExactEstimator {
     fn new(window: SimDuration, slots: usize) -> Self {
         ExactEstimator {
             ring: SlidingWindowEstimator::new(window),
-            ordinals: FlowMap::new(),
-            slab: Vec::new(),
-            keys: Vec::new(),
-            epoch: 0,
-            slots: slots.max(1),
+            ticks: (0..slots.max(1)).map(|_| FlowMap::new()).collect(),
+            current: 0,
         }
     }
 
     fn record_arrival(&mut self, flow: u64, bytes: u64) {
-        let (epoch, slots) = (self.epoch, self.slots);
-        let slot = (epoch % slots as u64) as usize;
-        if let Some(&ordinal) = self.ordinals.get(flow) {
-            let counter = &mut self.slab[ordinal as usize * slots + slot];
-            if counter.0 != epoch {
-                *counter = (epoch, 0);
+        let tick = &mut self.ticks[self.current];
+        match tick.get_mut(flow) {
+            Some(total) => *total += bytes,
+            None => {
+                tick.insert(flow, bytes);
             }
-            counter.1 += bytes;
-        } else {
-            // Unreachable in practice: 2^32 flows' counters are 64 GB per slot.
-            assert!(
-                self.keys.len() <= u32::MAX as usize,
-                "ordinals cover 2^32 distinct flows"
-            );
-            let ordinal = self.keys.len() as u32;
-            let start = self.slab.len();
-            self.slab.resize(start + slots, (0, 0));
-            self.slab[start + slot] = (epoch, bytes);
-            self.ordinals.insert(flow, ordinal);
-            self.keys.push(flow);
         }
     }
 
-    /// Bytes in one flow's counters across the window's live epochs.
-    fn live_bytes(&self, counters: &[(u64, u64)]) -> u64 {
-        counters
-            .iter()
-            .filter(|(epoch, _)| epoch + self.slots as u64 > self.epoch)
-            .map(|(_, bytes)| bytes)
-            .sum()
+    /// Seals the current tick: the next one reuses the slot of the epoch
+    /// that just left the window.
+    fn rotate(&mut self) {
+        self.current = (self.current + 1) % self.ticks.len();
+        self.ticks[self.current].clear();
     }
 
     /// The flow's exact byte count across the window's live epochs.
     fn windowed_bytes(&self, flow: u64) -> u64 {
-        let Some(&ordinal) = self.ordinals.get(flow) else {
-            return 0;
-        };
-        let start = ordinal as usize * self.slots;
-        self.live_bytes(&self.slab[start..start + self.slots])
+        self.ticks.iter().filter_map(|tick| tick.get(flow)).sum()
     }
 
     fn heavy_hitters(&self, k: usize) -> Vec<(u64, u64)> {
         let mut scored: Vec<(u64, u64)> = self
-            .keys
+            .ticks
             .iter()
-            .zip(self.slab.chunks_exact(self.slots))
-            .filter_map(|(&flow, counters)| {
-                let bytes = self.live_bytes(counters);
-                (bytes > 0).then_some((flow, bytes))
-            })
+            .flat_map(|tick| tick.iter().map(|(flow, &bytes)| (flow, bytes)))
             .collect();
+        // Merge each flow's per-tick totals into one window total.
+        scored.sort_unstable_by_key(|&(flow, _)| flow);
+        scored.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        scored.retain(|&(_, bytes)| bytes > 0);
         scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
         scored
     }
 
-    /// Heap bytes held: the counter slab, the ordinal map's slot array, the
-    /// key list and the tick ring, each at its allocated capacity.
+    /// Heap bytes held: every tick map's slot array, the ring of maps and
+    /// the tick-sample ring, each at its allocated capacity.
     fn resident_bytes(&self) -> usize {
-        let slab = self.slab.capacity() * std::mem::size_of::<(u64, u64)>();
-        let keys = self.keys.capacity() * std::mem::size_of::<u64>();
-        slab + self.ordinals.resident_bytes() + keys + self.ring.resident_bytes()
+        let maps: usize = self.ticks.iter().map(FlowMap::resident_bytes).sum();
+        let ring = self.ticks.capacity() * std::mem::size_of::<FlowMap<u64>>();
+        maps + ring + self.ring.resident_bytes()
+    }
+}
+
+/// The window slots of `window` split into `interval`-aligned ticks: the
+/// in-progress tick plus `window / interval` sealed ones (one slot for a
+/// zero interval). Saturates instead of overflowing.
+fn window_slots(window: SimDuration, interval: SimDuration) -> u64 {
+    if interval.is_zero() {
+        1
+    } else {
+        (window.as_nanos() / interval.as_nanos()).saturating_add(1)
     }
 }
 
@@ -414,7 +458,8 @@ enum Inner {
 /// variants answer mean/peak from the same tick-sample ring, so the
 /// *decisions* are identical — what changes is the per-flow state behind
 /// [`LoadEstimator::heavy_hitters`] and [`LoadEstimator::resident_bytes`]:
-/// exact tables grow with distinct flows, the sketch does not.
+/// the exact tables hold the distinct flows of the live window (flows that
+/// left it are forgotten), the sketch a fixed counter matrix.
 #[derive(Debug, Clone)]
 pub struct LoadEstimator {
     inner: Inner,
@@ -425,12 +470,11 @@ impl LoadEstimator {
     /// `interval`-aligned slots (the control tick cadence): the in-progress
     /// tick plus `window / interval` sealed ones, mirroring the tick-sample
     /// ring's eviction rule.
+    ///
+    /// Nothing here is bounded: check the config with
+    /// [`EstimatorConfig::validate`] first, as [`crate::Fleet::new`] does.
     pub fn new(config: &EstimatorConfig, interval: SimDuration) -> Self {
-        let slots = if interval.is_zero() {
-            1
-        } else {
-            (config.window.as_nanos() / interval.as_nanos()) as usize + 1
-        };
+        let slots = usize::try_from(window_slots(config.window, interval)).unwrap_or(usize::MAX);
         let inner = match config.kind {
             EstimatorKind::Exact => Inner::Exact(ExactEstimator::new(config.window, slots)),
             EstimatorKind::Sketch => Inner::Sketch {
@@ -465,7 +509,7 @@ impl LoadEstimator {
         match &mut self.inner {
             Inner::Exact(exact) => {
                 exact.ring.record(now, offered);
-                exact.epoch += 1;
+                exact.rotate();
             }
             Inner::Sketch { ring, sketch } => {
                 ring.record(now, offered);
@@ -556,8 +600,9 @@ impl LoadEstimator {
     }
 
     /// Bytes of memory resident in the estimator's per-flow state (plus the
-    /// tick ring). The ablation's headline number: exact grows with distinct
-    /// flows, the sketch is fixed at construction.
+    /// tick ring). The ablation's headline number: exact follows the
+    /// distinct flows of the live window (each slot keeping the capacity of
+    /// its busiest tick), the sketch is fixed at construction.
     pub fn resident_bytes(&self) -> usize {
         match &self.inner {
             Inner::Exact(exact) => exact.resident_bytes(),
@@ -566,9 +611,102 @@ impl LoadEstimator {
     }
 }
 
+/// The slab estimator the tick ring replaced, kept as the differential
+/// oracle of [`ExactEstimator`]: per flow ever seen, one epoch-stamped byte
+/// counter per window slot, never evicted. Slow and O(distinct flows), but
+/// exact by construction.
+#[cfg(test)]
+mod slab_oracle {
+    use pam_nf::fastmap::FlowMap;
+
+    pub(super) struct SlabEstimator {
+        /// flow -> ordinal: its counters are `slab[ordinal * slots..][..slots]`.
+        ordinals: FlowMap<u32>,
+        /// Per-slot `(epoch, bytes)` counters of every flow.
+        slab: Vec<(u64, u64)>,
+        /// Flow keys by ordinal.
+        keys: Vec<u64>,
+        /// The current (in-progress) epoch.
+        epoch: u64,
+        slots: usize,
+    }
+
+    impl SlabEstimator {
+        pub(super) fn new(slots: usize) -> Self {
+            SlabEstimator {
+                ordinals: FlowMap::new(),
+                slab: Vec::new(),
+                keys: Vec::new(),
+                epoch: 0,
+                slots: slots.max(1),
+            }
+        }
+
+        pub(super) fn rotate(&mut self) {
+            self.epoch += 1;
+        }
+
+        pub(super) fn record_arrival(&mut self, flow: u64, bytes: u64) {
+            let (epoch, slots) = (self.epoch, self.slots);
+            let slot = (epoch % slots as u64) as usize;
+            if let Some(&ordinal) = self.ordinals.get(flow) {
+                let counter = &mut self.slab[ordinal as usize * slots + slot];
+                if counter.0 != epoch {
+                    *counter = (epoch, 0);
+                }
+                counter.1 += bytes;
+            } else {
+                let ordinal = u32::try_from(self.keys.len()).expect("fewer than 2^32 flows");
+                let start = self.slab.len();
+                self.slab.resize(start + slots, (0, 0));
+                self.slab[start + slot] = (epoch, bytes);
+                self.ordinals.insert(flow, ordinal);
+                self.keys.push(flow);
+            }
+        }
+
+        fn live_bytes(&self, counters: &[(u64, u64)]) -> u64 {
+            counters
+                .iter()
+                .filter(|(epoch, _)| epoch + self.slots as u64 > self.epoch)
+                .map(|(_, bytes)| bytes)
+                .sum()
+        }
+
+        pub(super) fn windowed_bytes(&self, flow: u64) -> u64 {
+            let Some(&ordinal) = self.ordinals.get(flow) else {
+                return 0;
+            };
+            let start = ordinal as usize * self.slots;
+            self.live_bytes(&self.slab[start..start + self.slots])
+        }
+
+        pub(super) fn heavy_hitters(&self, k: usize) -> Vec<(u64, u64)> {
+            let mut scored: Vec<(u64, u64)> = self
+                .keys
+                .iter()
+                .zip(self.slab.chunks_exact(self.slots))
+                .filter_map(|(&flow, counters)| {
+                    let bytes = self.live_bytes(counters);
+                    (bytes > 0).then_some((flow, bytes))
+                })
+                .collect();
+            scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            scored.truncate(k);
+            scored
+        }
+
+        /// Every flow ever recorded, in first-arrival order.
+        pub(super) fn flows(&self) -> &[u64] {
+            &self.keys
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn estimator() -> SlidingWindowEstimator {
         SlidingWindowEstimator::new(SimDuration::from_millis(4))
@@ -737,20 +875,39 @@ mod tests {
         }
     }
 
+    /// Heap bytes a `FlowMap<u64>` holding `entries` flows may allocate:
+    /// its power-of-two slot array grows at 7/8 load, so it has fewer than
+    /// `2 x 8/7 x (entries + 1)` slots of 24 bytes, and at least 16.
+    fn tick_map_bound(entries: usize) -> usize {
+        let slot = std::mem::size_of::<Option<(u64, u64)>>();
+        (2 * 8 * (entries + 1) / 7).max(16) * slot
+    }
+
+    /// Slack over the tick maps: the ring of maps and the tick samples.
+    const RING_SLACK: usize = 1024;
+
     #[test]
     fn sketch_memory_is_flow_count_independent() {
         let interval = SimDuration::from_micros(500);
         let mut exact = LoadEstimator::new(&config(EstimatorKind::Exact), interval);
         let mut sketch = LoadEstimator::new(&config(EstimatorKind::Sketch), interval);
         let sketch_before = sketch.resident_bytes();
+        // 50 000 distinct flows, 500 new ones per tick.
         for flow in 0..50_000u64 {
             exact.record_arrival(flow, 64);
             sketch.record_arrival(flow, 64);
+            if flow % 500 == 499 {
+                let now = SimTime::from_micros((flow / 500 + 1) * 500);
+                exact.record(now, Gbps::new(1.0));
+                sketch.record(now, Gbps::new(1.0));
+            }
         }
-        // window/interval = 3 -> 4 slots of 16-byte counters per flow.
+        // window/interval = 3 -> 4 slots, each holding one tick's 500 flows:
+        // exact pays for the live window, not for every flow it has seen.
         assert!(
-            exact.resident_bytes() >= 50_000 * 4 * 16,
-            "exact pays every counter of every distinct flow"
+            exact.resident_bytes() <= 4 * tick_map_bound(500) + RING_SLACK,
+            "exact holds {} B",
+            exact.resident_bytes()
         );
         assert!(
             sketch.resident_bytes() < sketch_before + 64 * 1024,
@@ -759,7 +916,166 @@ mod tests {
     }
 
     #[test]
-    fn exact_slab_keeps_each_flows_counters_apart() {
+    fn exact_memory_stops_growing_once_the_window_is_full() {
+        let interval = SimDuration::from_micros(500);
+        let mut e = LoadEstimator::new(&config(EstimatorKind::Exact), interval);
+        let mut after_tick_10 = 0;
+        // Tick t carries flows 100t..100t+300: each flow lives three ticks
+        // and the population drifts past 100 000 distinct flows.
+        for tick in 0..1_000u64 {
+            for flow in tick * 100..tick * 100 + 300 {
+                e.record_arrival(flow, 64);
+            }
+            e.record(SimTime::from_micros((tick + 1) * 500), Gbps::new(1.0));
+            if tick + 1 == 10 {
+                after_tick_10 = e.resident_bytes();
+            }
+        }
+        assert_eq!(e.resident_bytes(), after_tick_10);
+        assert!(after_tick_10 <= 4 * tick_map_bound(300) + RING_SLACK);
+        // Flows from the start of the drift are forgotten, not just zero.
+        assert_eq!(e.windowed_flow_bytes(0), 0);
+        assert_eq!(e.heavy_hitters(usize::MAX).len(), 500);
+    }
+
+    /// Drives one `(flow, bytes, gap)` trace into the estimator and its
+    /// slab oracle, advancing `gap - 8` ticks (when positive) before each
+    /// arrival, and compares every answer after every step.
+    fn assert_matches_slab_oracle(window_ticks: u64, trace: &[(u64, u64, u64)]) {
+        let interval = SimDuration::from_micros(500);
+        let window = SimDuration::from_micros(500 * window_ticks);
+        let config = EstimatorConfig::of(EstimatorKind::Exact).with_window(window);
+        let mut exact = LoadEstimator::new(&config, interval);
+        let mut oracle = slab_oracle::SlabEstimator::new(window_ticks as usize + 1);
+        let mut tick = 0u64;
+        for &(flow, bytes, gap) in trace {
+            for _ in 0..gap.saturating_sub(8) {
+                tick += 1;
+                exact.record(SimTime::from_micros(tick * 500), Gbps::new(1.0));
+                oracle.rotate();
+            }
+            // Spread the small id range over the whole key space.
+            let flow = flow.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            exact.record_arrival(flow, bytes);
+            oracle.record_arrival(flow, bytes);
+            for &seen in oracle.flows() {
+                assert_eq!(
+                    exact.windowed_flow_bytes(seen),
+                    oracle.windowed_bytes(seen),
+                    "flow {seen:#x} at tick {tick}"
+                );
+            }
+            let all = oracle.flows().len();
+            for k in [0, 1, 5, all] {
+                assert_eq!(
+                    exact.heavy_hitters(k),
+                    oracle.heavy_hitters(k),
+                    "top {k} at tick {tick}"
+                );
+            }
+            assert_eq!(exact.error_bound(), (0.0, 0.0));
+        }
+    }
+
+    proptest! {
+        /// Random traces over a few dozen flows: with up to three ticks per
+        /// step, flows drop out for longer than the window and come back,
+        /// and some ticks pass with no arrival at all.
+        #[test]
+        fn exact_ring_matches_the_slab_oracle(
+            window_ticks in 0u64..6,
+            trace in proptest::collection::vec((0u64..48, 0u64..1_500, 0u64..12), 0..300),
+        ) {
+            assert_matches_slab_oracle(window_ticks, &trace);
+        }
+    }
+
+    #[test]
+    fn exact_ring_matches_the_slab_oracle_across_long_absences() {
+        // Flow 1 arrives at ticks 0, 3 and 6, then stays away for 21 ticks
+        // (over five windows of 4 slots) while flow 3 ticks along, and
+        // returns; every step of 3 ticks leaves two ticks empty.
+        let trace = [(1, 100, 0), (2, 50, 11), (1, 70, 0), (1, 30, 11)];
+        let mut long = trace.to_vec();
+        long.extend((0..7).map(|_| (3, 1, 11)));
+        long.push((1, 5, 0));
+        assert_matches_slab_oracle(3, &long);
+    }
+
+    #[test]
+    fn validate_refuses_sizes_past_their_bounds() {
+        let interval = SimDuration::from_micros(500);
+        let nanos = interval.as_nanos();
+        let max_slots = EstimatorConfig::MAX_SLOTS;
+        for kind in EstimatorKind::ALL {
+            let base = EstimatorConfig::of(kind);
+            let ok = |config: EstimatorConfig| config.validate(interval).is_ok();
+            assert!(ok(base), "{kind}: defaults");
+            // The last window inside the slot bound, and the first past it.
+            let last = SimDuration::from_nanos((max_slots - 1) * nanos);
+            assert!(ok(base.with_window(last)), "{kind}: {max_slots} slots");
+            let nudge = SimDuration::from_nanos(last.as_nanos() + nanos - 1);
+            assert!(ok(base.with_window(nudge)), "{kind}: still {max_slots}");
+            let past = SimDuration::from_nanos(max_slots * nanos);
+            assert!(!ok(base.with_window(past)), "{kind}: one slot too many");
+            // u64-adjacent windows and intervals.
+            let forever = base.with_window(SimDuration::from_nanos(u64::MAX));
+            assert!(forever.validate(SimDuration::from_nanos(1)).is_err());
+            assert!(forever.validate(SimDuration::from_nanos(u64::MAX)).is_ok());
+            assert!(forever.validate(SimDuration::ZERO).is_ok(), "one slot");
+            // usize-adjacent sizes.
+            for bad in [
+                EstimatorConfig {
+                    depth: usize::MAX,
+                    ..base
+                },
+                EstimatorConfig {
+                    width: usize::MAX,
+                    ..base
+                },
+                EstimatorConfig {
+                    top_k: usize::MAX,
+                    ..base
+                },
+                EstimatorConfig {
+                    depth: EstimatorConfig::MAX_DEPTH + 1,
+                    ..base
+                },
+                EstimatorConfig {
+                    width: EstimatorConfig::MAX_WIDTH + 1,
+                    ..base
+                },
+                EstimatorConfig {
+                    top_k: EstimatorConfig::MAX_TOP_K + 1,
+                    ..base
+                },
+            ] {
+                let err = bad.validate(interval).unwrap_err();
+                assert!(matches!(err, PamError::InvalidConfig(_)), "{kind}: {err}");
+            }
+            let zero = EstimatorConfig {
+                depth: 0,
+                width: 0,
+                top_k: 0,
+                ..base
+            };
+            assert!(ok(zero), "{kind}: zeros are clamped, not refused");
+        }
+        // Only the sketch allocates `slots x depth x width` counters.
+        let wide = EstimatorConfig {
+            width: EstimatorConfig::MAX_WIDTH,
+            ..EstimatorConfig::default()
+        };
+        assert!(wide.validate(interval).is_ok());
+        let wide_sketch = EstimatorConfig {
+            kind: EstimatorKind::Sketch,
+            ..wide
+        };
+        assert!(wide_sketch.validate(interval).is_err());
+    }
+
+    #[test]
+    fn exact_ring_keeps_each_flows_counters_apart() {
         let interval = SimDuration::from_micros(500);
         let mut e = LoadEstimator::new(&config(EstimatorKind::Exact), interval);
         // Interleave three flows across ticks so each reuses its own slots.

@@ -136,7 +136,9 @@ fn run_lane(
             unreachable!("the sequencer parked one draw per order entry");
         };
         let packet = draw.build();
-        let target = steering.route_into(home, packet.flow_id(), &mut stats);
+        // One hash of the 5-tuple serves steering, accounting and the log.
+        let flow = packet.flow_id();
+        let target = steering.route_into(home, flow, &mut stats);
         if !health.is_alive(target) {
             // A crashed server black-holes its ingress: the packet is counted
             // and dropped before admission. (`crash_server` installs the
@@ -148,9 +150,9 @@ fn run_lane(
         let Some(server) = servers[target.index()].as_deref_mut() else {
             unreachable!("spill channels keep recipients on the home's lane");
         };
-        server.note_arrival(packet.flow_id().raw(), packet.size());
+        server.note_arrival(flow.raw(), packet.size());
         #[cfg(test)]
-        server.log_submission(at, packet.flow_id().raw());
+        server.log_submission(at, flow.raw());
         let runtime = server.runtime_mut();
         runtime.drain_until(at);
         runtime.submit(at, packet);
@@ -363,13 +365,14 @@ mod reference {
             if let Some((send_time, draw)) = self.servers[home.index()].take_pending() {
                 assert_eq!(send_time, now, "arrival event fires at the send time");
                 let packet = draw.build();
-                let target = self.steering.route(home, packet.flow_id());
+                let flow = packet.flow_id();
+                let target = self.steering.route(home, flow);
                 if !self.health.is_alive(target) {
                     self.fault_drops += 1;
                 } else {
                     let server = &mut self.servers[target.index()];
-                    server.note_arrival(packet.flow_id().raw(), packet.size());
-                    server.log_submission(now, packet.flow_id().raw());
+                    server.note_arrival(flow.raw(), packet.size());
+                    server.log_submission(now, flow.raw());
                     let runtime = server.runtime_mut();
                     runtime.drain_until(now);
                     runtime.submit(now, packet);

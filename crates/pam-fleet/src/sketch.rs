@@ -1,9 +1,9 @@
 //! Memento-style sliding-window heavy-hitter sketch.
 //!
-//! The fleet's exact estimator keeps one windowed byte counter per flow —
-//! O(distinct flows) memory, which at the north star's "millions of users"
-//! is the cache and memory bottleneck long before the data plane is. This
-//! module replaces that table with a **count-min sketch with aging** in the
+//! The fleet's exact estimator keeps each live tick's byte total per flow —
+//! memory that grows with the distinct flows inside the window, which at
+//! the north star's "millions of users" can outgrow the caches. This
+//! module bounds it instead with a **count-min sketch with aging** in the
 //! style of Memento (arxiv 1810.02899): the window is split into
 //! tick-aligned *slots*, each slot owns a small count-min matrix, and a slot
 //! is recycled (zeroed and restamped) when the window slides past it. A
@@ -21,9 +21,9 @@
 //!   least `1 - delta`, where `eps = e / width` and `delta = e^-depth`.
 //!
 //! The defaults (`width = 256`, `depth = 4`) give `eps ~ 1.1%` of the window
-//! bytes and `delta ~ 1.8%` in ~32 KiB per server — against the exact
-//! table's megabytes at a 100k-flow flash crowd (see the `--estimators`
-//! ablation of `fleet_bench`).
+//! bytes and `delta ~ 1.8%` in ~32 KiB per server, whatever the window
+//! holds; the `--estimators` ablation of `fleet_bench` compares the two
+//! footprints.
 //!
 //! Every row hashes with a fixed odd multiplier derived from the row index
 //! (splitmix64), so two runs of the same trace produce bit-identical

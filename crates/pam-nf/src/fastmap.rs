@@ -176,6 +176,15 @@ impl<V> FlowMap<V> {
         self.len = 0;
     }
 
+    /// Every `(key, value)` entry in slot order: hash order, but the same
+    /// inserts always give the same order (the hash has no random state).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.slots
+            .iter()
+            .flatten()
+            .map(|(key, value)| (*key, value))
+    }
+
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
@@ -255,6 +264,24 @@ mod tests {
         assert_eq!(map.remove(7), Some(72));
         assert_eq!(map.remove(7), None);
         assert!(map.is_empty());
+    }
+
+    #[test]
+    fn iter_visits_every_entry_once() {
+        let mut map: FlowMap<u64> = FlowMap::new();
+        for key in 0..100u64 {
+            map.insert(key << 32, key);
+        }
+        map.remove(5 << 32);
+        let mut seen: Vec<(u64, u64)> = map.iter().map(|(k, &v)| (k, v)).collect();
+        seen.sort_unstable();
+        let expected: Vec<(u64, u64)> = (0..100u64)
+            .filter(|&key| key != 5)
+            .map(|key| (key << 32, key))
+            .collect();
+        assert_eq!(seen, expected);
+        map.clear();
+        assert_eq!(map.iter().count(), 0);
     }
 
     #[test]

@@ -146,23 +146,27 @@ fn sketch_differential_smoke() {
 }
 
 /// A uniform million-id flood (no repeats, nothing survives pruning) still
-/// never undercounts and stays inside fixed memory — the regime the fleet's
-/// 1M-flow flash-crowd cell runs in.
+/// never undercounts, and both estimators stay inside the memory of one
+/// window — the regime the fleet's 1M-flow flash-crowd cell runs in.
 #[test]
 fn sketch_smoke_survives_a_wide_uniform_flood() {
     let (exact, sketch, distinct) = differential_run(7, 50_000, 4_096, 512);
     assert_differential(&exact, &sketch, 50_000, "flood");
-    // The exact table pays every window slot of every distinct flow: four
-    // slots (window / interval + 1) of a 16-byte `(epoch, bytes)` counter.
+    // The exact table holds only the live window: four slots (window /
+    // interval + 1), each a map of one tick's at most 512 flows (a
+    // power-of-two array of 24-byte slots grown at 7/8 load, so at most
+    // 1 024 slots), plus a little for the ring itself.
+    assert!(distinct > 4 * 512, "the flood outgrows the window");
     assert!(
-        exact.resident_bytes() >= distinct * 4 * 16,
-        "exact {} B < {distinct} flows x 4 slots x 16 B",
+        exact.resident_bytes() <= 4 * 1_024 * 24 + 1_024,
+        "exact {} B for a window of 4 x 512 arrivals",
         exact.resident_bytes()
     );
-    // The sketch pays nothing per flow: a ten times wider, ten times longer
-    // flood leaves its footprint where it was.
-    let (_, wide, _) = differential_run(7, 500_000, 40_960, 512);
+    // Neither pays per distinct flow: a ten times wider, ten times longer
+    // flood leaves both footprints where they were.
+    let (wide_exact, wide, _) = differential_run(7, 500_000, 40_960, 512);
     assert_eq!(wide.resident_bytes(), sketch.resident_bytes());
+    assert_eq!(wide_exact.resident_bytes(), exact.resident_bytes());
 }
 
 /// The compatibility half of the API redesign: leaving the estimator knob
